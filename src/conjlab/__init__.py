@@ -19,18 +19,14 @@ from .nilpotent import (
     is_in_C,
     is_in_derived,
     phi_shift,
-    reduce_central,
 )
 from .extension import (
     GElement,
     WordParseError,
     c_witness_word,
-    element_from_doc,
-    element_to_doc,
     g_commutator,
     g_conj,
     g_equal,
-    g_from_d,
     g_identity,
     g_inv,
     g_mul,
@@ -56,9 +52,7 @@ from .quotients import (
     FiniteQuotientSpec,
     FoldedQuotient,
     finite_conjugate,
-    finite_image,
     make_spec,
-    project_mod_I,
     quotient_conjugate_exact,
     quotient_is_well_defined,
     required_c_modulus,

@@ -250,14 +250,13 @@ def _merge_congruence(state, a, c, modulus):
     return r, lcm
 
 
-def solve_commutator_equation(h1: DElement, target: DElement, d=None) -> Optional[DElement]:
+def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DElement]:
     """Some h with [h, h1] equal to target modulo the centre, or None.
 
     target must lie in the derived subgroup; its central coordinates are
     ignored (they can always be absorbed by the final central layer of
-    the conjugacy decision). d is accepted for call-shape uniformity and
-    never consulted. Exactness: the returned h satisfies the equation on
-    the nose in the non-central coordinates.
+    the conjugacy decision). Exactness: the returned h satisfies the
+    equation on the nose in the non-central coordinates.
     """
     if target.a_part or target.b_part:
         raise ValueError("target must lie in the derived subgroup")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .nilpotent import (
     DElement,
@@ -29,7 +28,6 @@ from .nilpotent import (
     d_inv,
     d_mul,
     is_identity_d,
-    is_in_C,
     phi_shift,
 )
 
@@ -46,10 +44,6 @@ def g_identity() -> GElement:
 
 def g_t(n: int = 1) -> GElement:
     return GElement(d_identity(), n)
-
-
-def g_from_d(h: DElement) -> GElement:
-    return GElement(h, 0)
 
 
 def g_mul(x: GElement, y: GElement) -> GElement:
@@ -189,69 +183,3 @@ def spell_element(g: GElement) -> str:
     if g.t_exp:
         tokens.append(_exp_token("t", g.t_exp))
     return " ".join(tokens)
-
-
-def abelianization_min_index(g: GElement) -> Optional[int]:
-    """Least generator index in the a/b exponent support, or None when the
-    d-part lies in the derived subgroup."""
-    support = set(g.d_part.a_part) | set(g.d_part.b_part)
-    return min(support) if support else None
-
-
-def derived_support(g: GElement):
-    """Index interval hull (lo, hi) of the d-part: over the a/b support
-    when that is nonempty, otherwise over the non-C derived keys. Returns
-    None for central elements. Requires t_exp == 0."""
-    if g.t_exp != 0:
-        raise ValueError("derived_support needs t_exp == 0")
-    h = g.d_part
-    support = set(h.a_part) | set(h.b_part)
-    if support:
-        return (min(support), max(support))
-    indices = set()
-    for key in h.derived:
-        if key[0] != "C":
-            indices.update((key[1], key[2]))
-    if indices:
-        return (min(indices), max(indices))
-    if is_in_C(h):
-        return None
-    return None
-
-
-_DOC_KEY = re.compile(r"^(AA|AB|BB)\((-?\d+),(-?\d+)\)$|^C\((\d+)\)$")
-
-
-def _key_to_str(key) -> str:
-    if key[0] == "C":
-        return f"C({key[1]})"
-    return f"{key[0]}({key[1]},{key[2]})"
-
-
-def _str_to_key(s: str):
-    m = _DOC_KEY.match(s)
-    if m is None:
-        raise ValueError(f"bad derived key string {s!r}")
-    kind, i, j, k = m.groups()
-    if k is not None:
-        return ("C", int(k))
-    return (kind, int(i), int(j))
-
-
-def element_to_doc(g: GElement) -> dict:
-    """Structured form: {a: [[index, exp]...], b: [...],
-    derived: [[key, exp]...], t: int}, every list sorted by index."""
-    h = g.d_part
-    return {
-        "a": [[i, h.a_part[i]] for i in sorted(h.a_part)],
-        "b": [[i, h.b_part[i]] for i in sorted(h.b_part)],
-        "derived": [[_key_to_str(k), h.derived[k]] for k in sorted(h.derived)],
-        "t": g.t_exp,
-    }
-
-
-def element_from_doc(doc: dict) -> GElement:
-    a = {int(i): int(e) for i, e in doc.get("a", [])}
-    b = {int(i): int(e) for i, e in doc.get("b", [])}
-    der = {_str_to_key(s): int(e) for s, e in doc.get("derived", [])}
-    return GElement(d_element(a, b, der), int(doc.get("t", 0)))

@@ -21,9 +21,9 @@ c_0 is trivial and c_{-k} is the inverse of c_k, so those keys never occur.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction; every operation returns a fresh element. Because d(j)
-may be astronomically large, a C coordinate is only reduced when d(j) is
-known to be small enough to reach it (is_identity_d, reduce_central). Plain
-== on elements is raw coordinate identity, not group equality; use d_equal.
+may be astronomically large, a C coordinate is only compared with d(j) when
+d(j) is known to be small enough to reach it (is_identity_d). Plain == on
+elements is raw coordinate identity, not group equality; use d_equal.
 """
 
 from __future__ import annotations
@@ -137,33 +137,16 @@ def ba_terms(i: int, j: int, coeff: int = 1):
     return ab_terms(j, i, -coeff)
 
 
-def _acc(dest: dict, terms) -> None:
+def _acc(dest: dict, terms) -> dict:
+    """Add (key, coefficient) pairs into the sparse dict dest, dropping
+    coordinates that cancel; returns dest."""
     for key, c in terms:
         v = dest.get(key, 0) + c
         if v:
             dest[key] = v
         else:
             dest.pop(key, None)
-
-
-def _acc_dict(dest: dict, src: dict) -> None:
-    for key, c in src.items():
-        v = dest.get(key, 0) + c
-        if v:
-            dest[key] = v
-        else:
-            dest.pop(key, None)
-
-
-def _add_vec(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for i, e in v.items():
-        s = out.get(i, 0) + e
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
+    return dest
 
 
 def _neg_vec(u: dict) -> dict:
@@ -194,18 +177,17 @@ def _mul_correction(xa: dict, xb: dict, ya: dict, yb: dict) -> dict:
 
 
 def d_mul(x: DElement, y: DElement) -> DElement:
-    der = dict(x.derived)
-    _acc_dict(der, y.derived)
-    _acc_dict(der, _mul_correction(x.a_part, x.b_part, y.a_part, y.b_part))
-    return DElement(_add_vec(x.a_part, y.a_part),
-                    _add_vec(x.b_part, y.b_part), der)
+    der = _acc(dict(x.derived), y.derived.items())
+    _acc(der, _mul_correction(x.a_part, x.b_part, y.a_part, y.b_part).items())
+    return DElement(_acc(dict(x.a_part), y.a_part.items()),
+                    _acc(dict(x.b_part), y.b_part.items()), der)
 
 
 def d_inv(x: DElement) -> DElement:
     na, nb = _neg_vec(x.a_part), _neg_vec(x.b_part)
     der = {k: -v for k, v in x.derived.items()}
     corr = _mul_correction(x.a_part, x.b_part, na, nb)
-    _acc_dict(der, {k: -v for k, v in corr.items()})
+    _acc(der, ((k, -v) for k, v in corr.items()))
     return DElement(na, nb, der)
 
 
@@ -279,26 +261,6 @@ def is_identity_d(x: DElement, d) -> bool:
         if gamma % d.value(j) != 0:
             return False
     return True
-
-
-def reduce_central(x: DElement, d) -> DElement:
-    """Reduce each C coordinate at a power-of-two index into [0, d(j)),
-    but only when d(j) is small enough to reach the coordinate."""
-    der = dict(x.derived)
-    for key in list(der):
-        if key[0] != "C":
-            continue
-        j = power_of_two_exponent(key[1])
-        if j is None:
-            continue
-        gamma = der[key]
-        if not d.at_least(j, abs(gamma) + 1):
-            g = gamma % d.value(j)
-            if g:
-                der[key] = g
-            else:
-                del der[key]
-    return DElement(dict(x.a_part), dict(x.b_part), der)
 
 
 def d_equal(x: DElement, y: DElement, d) -> bool:

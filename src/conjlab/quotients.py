@@ -20,6 +20,11 @@ Element layout: (a, b, nonc, c, t) where a and b are exponent tuples over
 residues 0..I-1, nonc runs over the sorted folded basis AA(i<j), AB(i<=j),
 BB(i<j), c runs over the canonical indices with modulus > 1, and t is the
 t-exponent mod I. Tuples keep elements hashable and enumerable.
+
+Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
+time polynomial in I rather than in the group order. finite_conjugate
+enumerates the whole quotient; it is the reference that the exact route
+is checked against on orders up to a few thousand.
 """
 
 from __future__ import annotations
@@ -27,75 +32,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from .conjugacy import IntegerLinearSystem, hnf_solve
 from .extension import GElement
-from .nilpotent import d_element
-
-
-def _fold_c(I, k, coeff):
-    k %= I
-    if k == 0 or coeff == 0:
-        return ()
-    if 2 * k <= I:
-        return ((("C", k), coeff),)
-    return ((("C", I - k), -coeff),)
-
-
-def _fold_aa(I, i, j, coeff):
-    if i == j or coeff == 0:
-        return ()
-    if i < j:
-        return ((("AA", i, j), coeff),)
-    return ((("AA", j, i), -coeff),)
-
-
-def _fold_bb(I, i, j, coeff):
-    if i == j or coeff == 0:
-        return ()
-    if i < j:
-        return ((("BB", i, j), coeff),)
-    return ((("BB", j, i), -coeff),)
-
-
-def _fold_ab(I, i, j, coeff):
-    if coeff == 0:
-        return ()
-    if i <= j:
-        return ((("AB", i, j), coeff),)
-    return ((("AB", j, i), coeff),) + _fold_c(I, j - i, coeff)
+from .nilpotent import _mul_correction, aa_terms, ab_terms, bb_terms
 
 
 def _fold_key(I, key, coeff, shift=0):
+    """Terms of one basis coordinate with its a/b indices shifted and
+    folded mod I; central indices are folded by FoldedQuotient._acc_terms."""
     kind = key[0]
     if kind == "C":
-        return _fold_c(I, key[1], coeff)
+        return ((key, coeff),)
     i, j = (key[1] + shift) % I, (key[2] + shift) % I
     if kind == "AA":
-        return _fold_aa(I, i, j, coeff)
+        return aa_terms(i, j, coeff)
     if kind == "BB":
-        return _fold_bb(I, i, j, coeff)
-    return _fold_ab(I, i, j, coeff)
+        return bb_terms(i, j, coeff)
+    return ab_terms(i, j, coeff)
 
 
 class FoldedQuotient:
     """Arithmetic context for index-folded elements.
 
-    m is the a/b/non-central exponent modulus (None keeps integers).
-    c_mod maps each k in 1..I//2 to its modulus; None keeps integers
-    there too, apart from the forced 2-torsion at k = I/2. Indices with
-    modulus 1 are dropped from element tuples entirely.
+    m is the a/b/non-central exponent modulus; c_mod maps each k in
+    1..I//2 to its modulus. Indices with modulus 1 are dropped from
+    element tuples entirely.
     """
 
-    def __init__(self, I: int, m: Optional[int], c_mod: dict):
+    def __init__(self, I: int, m: int, c_mod: dict):
         if I < 1:
             raise ValueError("index modulus must be positive")
-        if m is not None and m < 2:
+        if m < 2:
             raise ValueError("exponent modulus must be at least 2")
         self.I = I
         self.m = m
-        self.c_mod = {k: c_mod.get(k) for k in range(1, I // 2 + 1)}
+        self.c_mod = {k: c_mod[k] for k in range(1, I // 2 + 1)}
         keys = ([("AA", i, j) for i in range(I) for j in range(i + 1, I)]
                 + [("BB", i, j) for i in range(I) for j in range(i + 1, I)]
                 + [("AB", i, j) for i in range(I) for j in range(i, I)])
@@ -107,51 +79,38 @@ class FoldedQuotient:
 
     # sparse working form: dicts holding only nonzero coordinates
 
-    def _red_exp(self, v):
-        return v % self.m if self.m is not None else v
-
-    def _red_c(self, k, v):
-        mod = self.c_mod[k]
-        if mod is None:
-            return v % 2 if 2 * k == self.I else v
-        return v % mod
-
     def _acc_exp(self, dest, key, v):
-        v = self._red_exp(dest.get(key, 0) + v)
+        v = (dest.get(key, 0) + v) % self.m
         if v:
             dest[key] = v
         else:
             dest.pop(key, None)
 
     def _acc_c(self, dest, k, v):
-        if self.c_mod[k] == 1:
+        mod = self.c_mod[k]
+        if mod == 1:
             return
-        v = self._red_c(k, dest.get(k, 0) + v)
+        v = (dest.get(k, 0) + v) % mod
         if v:
             dest[k] = v
         else:
             dest.pop(k, None)
 
     def _acc_terms(self, nonc, cc, terms):
-        for key, v in terms:
-            if key[0] == "C":
-                self._acc_c(cc, key[1], v)
-            else:
-                self._acc_exp(nonc, key, v)
-
-    def _fold_correction(self, xa, xb, ya, yb, nonc, cc):
+        """Add (basis key, coefficient) pairs whose a/b indices are already
+        folded. This is where a central index k folds into 1..I//2, through
+        c_0 = 1 and c_{I-k} = c_k^{-1}."""
         I = self.I
-        for i, e in xb.items():
-            for j, f in ya.items():
-                self._acc_terms(nonc, cc, _fold_ab(I, j, i, -e * f))
-        for i, e in xa.items():
-            for j, f in ya.items():
-                if i > j:
-                    self._acc_terms(nonc, cc, _fold_aa(I, i, j, e * f))
-        for i, e in xb.items():
-            for j, f in yb.items():
-                if i > j:
-                    self._acc_terms(nonc, cc, _fold_bb(I, i, j, e * f))
+        for key, v in terms:
+            if key[0] != "C":
+                self._acc_exp(nonc, key, v)
+                continue
+            k = key[1] % I
+            if k == 0:
+                continue
+            if 2 * k > I:
+                k, v = I - k, -v
+            self._acc_c(cc, k, v)
 
     def _srot(self, parts, shift):
         shift %= self.I
@@ -161,23 +120,21 @@ class FoldedQuotient:
         ra = {(i + shift) % self.I: v for i, v in a.items()}
         rb = {(i + shift) % self.I: v for i, v in b.items()}
         rn: dict = {}
-        rc: dict = {}
-        for k, v in cc.items():
-            self._acc_c(rc, k, v)
+        rc = dict(cc)
         for key, v in nonc.items():
             self._acc_terms(rn, rc, _fold_key(self.I, key, v, shift))
         # rotation wraps the tail of each ascending block to the front;
         # every wrapped factor re-sorts past every unwrapped one
         wrap = self.I - shift
-        for fold, block in ((_fold_aa, a), (_fold_bb, b)):
+        for terms, block in ((aa_terms, a), (bb_terms, b)):
             for i, e in block.items():
                 if i < wrap:
                     continue
                 for j, f in block.items():
                     if j >= wrap:
                         continue
-                    self._acc_terms(rn, rc, fold(self.I, j + shift,
-                                                 (i + shift) % self.I, e * f))
+                    self._acc_terms(rn, rc, terms(j + shift,
+                                                  (i + shift) % self.I, e * f))
         return ra, rb, rn, rc
 
     def _smul(self, x, y):
@@ -195,43 +152,41 @@ class FoldedQuotient:
             self._acc_exp(nonc, key, v)
         for k, v in rc.items():
             self._acc_c(cc, k, v)
-        self._fold_correction(xa, xb, ra, rb, nonc, cc)
+        self._acc_terms(nonc, cc, _mul_correction(xa, xb, ra, rb).items())
         return a, b, nonc, cc, (xt + y[4]) % self.I
 
     def _sinv(self, x):
         xa, xb, xn, xc, xt = x
         na = {i: -v for i, v in xa.items()}
         nb = {i: -v for i, v in xb.items()}
-        corr_n: dict = {}
-        corr_c: dict = {}
-        self._fold_correction(xa, xb, na, nb, corr_n, corr_c)
         dn: dict = {}
-        for key in set(xn) | set(corr_n):
-            self._acc_exp(dn, key, -xn.get(key, 0) - corr_n.get(key, 0))
         dc: dict = {}
-        for k in set(xc) | set(corr_c):
-            self._acc_c(dc, k, -xc.get(k, 0) - corr_c.get(k, 0))
-        na = {i: self._red_exp(v) for i, v in na.items() if self._red_exp(v)}
-        nb = {i: self._red_exp(v) for i, v in nb.items() if self._red_exp(v)}
+        corr = _mul_correction(xa, xb, na, nb)
+        self._acc_terms(dn, dc, ((key, -v) for key, v in corr.items()))
+        self._acc_terms(dn, dc, ((key, -v) for key, v in xn.items()))
+        for k, v in xc.items():
+            self._acc_c(dc, k, -v)
+        m = self.m
+        na = {i: v % m for i, v in na.items()}
+        nb = {i: v % m for i, v in nb.items()}
         ra, rb, rn, rc = self._srot((na, nb, dn, dc), -xt)
         return ra, rb, rn, rc, (-xt) % self.I
 
     def _spack(self, sparse):
         a, b, nonc, cc, t = sparse
+        m = self.m
         av = [0] * self.I
         for i, v in a.items():
-            av[i] = self._red_exp(v)
+            av[i] = v % m
         bv = [0] * self.I
         for i, v in b.items():
-            bv[i] = self._red_exp(v)
+            bv[i] = v % m
         nv = [0] * len(self.nonc_keys)
         for key, v in nonc.items():
-            nv[self._nonc_pos[key]] = self._red_exp(v)
+            nv[self._nonc_pos[key]] = v % m
         cv = [0] * len(self.c_keys)
         for k, v in cc.items():
-            key = ("C", k)
-            if key in self._c_pos:
-                cv[self._c_pos[key]] = self._red_c(k, v)
+            cv[self._c_pos[("C", k)]] = v % self.c_mod[k]
         return tuple(av), tuple(bv), tuple(nv), tuple(cv), t % self.I
 
     def _sunpack(self, dense):
@@ -250,11 +205,7 @@ class FoldedQuotient:
         """Element from residue-indexed coordinate dicts (already folded)."""
         nonc: dict = {}
         cc: dict = {}
-        for key, v in (derived or {}).items():
-            if key[0] == "C":
-                cc[key[1]] = cc.get(key[1], 0) + v
-            else:
-                nonc[key] = nonc.get(key, 0) + v
+        self._acc_terms(nonc, cc, (derived or {}).items())
         return self._spack((dict(a or {}), dict(b or {}), nonc, cc, t))
 
     def mul(self, x, y):
@@ -274,11 +225,11 @@ class FoldedQuotient:
         acc = ({}, {}, {}, {}, 0)
         h = g.d_part
         for i in sorted(h.a_part):
-            e = self._red_exp(h.a_part[i])
+            e = h.a_part[i] % self.m
             if e:
                 acc = self._smul(acc, ({i % self.I: e}, {}, {}, {}, 0))
         for i in sorted(h.b_part):
-            e = self._red_exp(h.b_part[i])
+            e = h.b_part[i] % self.m
             if e:
                 acc = self._smul(acc, ({}, {i % self.I: e}, {}, {}, 0))
         nonc: dict = {}
@@ -301,20 +252,13 @@ class FoldedQuotient:
         a, b, nonc, cc, t = self._simage(g)
         return not a and not b and not nonc and not cc and t % self.I == 0
 
-    def is_finite(self) -> bool:
-        return self.m is not None and all(v is not None for v in self.c_mod.values())
-
     def order(self) -> int:
-        if not self.is_finite():
-            raise ValueError("order is only defined for finite contexts")
         total = self.I * self.m ** (2 * self.I + len(self.nonc_keys))
-        for k in range(1, self.I // 2 + 1):
-            total *= self.c_mod[k]
+        for mod in self.c_mod.values():
+            total *= mod
         return total
 
     def elements(self):
-        if not self.is_finite():
-            raise ValueError("cannot enumerate an infinite context")
         cmods = [self.c_mod[key[1]] for key in self.c_keys]
         for t in range(self.I):
             for a in product(range(self.m), repeat=self.I):
@@ -422,7 +366,6 @@ class FiniteQuotientSpec:
 
 
 _FOLDED_CACHE: dict = {}
-_STRUCTURAL_CACHE: dict = {}
 
 
 def make_spec(I: int, m: int, d) -> FiniteQuotientSpec:
@@ -441,31 +384,9 @@ def quotient_is_well_defined(spec: FiniteQuotientSpec, d) -> bool:
     return True
 
 
-def project_mod_I(g: GElement, I: int) -> GElement:
-    """Index folding alone: generator and basis indices reduce mod I and
-    re-canonicalize in the folded basis, t reduces into 0..I-1, exponents
-    stay integers apart from the forced 2-torsion of c_{I/2}."""
-    fq = _STRUCTURAL_CACHE.get(I)
-    if fq is None:
-        fq = FoldedQuotient(I, None, {k: None for k in range(1, I // 2 + 1)})
-        _STRUCTURAL_CACHE[I] = fq
-    a, b, nonc, cc, t = fq._sunpack(fq.image(g))
-    derived = dict(nonc)
-    for k, v in cc.items():
-        derived[("C", k)] = v
-    return GElement(d_element(a, b, derived), t)
-
-
-def finite_image(g: GElement, spec: FiniteQuotientSpec, d):
-    """Image of g in the finite quotient; raises when spec is not a
-    legitimate quotient for this d."""
-    if not quotient_is_well_defined(spec, d):
-        raise ValueError(f"{spec.name()} is not well defined for {d.descriptor}")
-    return spec.folded().image(g)
-
-
 def finite_conjugate(x, y, spec: FiniteQuotientSpec, cap: int = 4096) -> bool:
-    """Exhaustive conjugacy test; refuses quotients larger than cap."""
+    """Exhaustive conjugacy test, the reference for quotient_conjugate_exact;
+    refuses quotients larger than cap."""
     fq = spec.folded()
     if fq.order() > cap:
         raise ValueError(f"order {fq.order()} exceeds the cap {cap}")
@@ -512,9 +433,18 @@ def _orbit_members(root, s, I):
     return members
 
 
+def _coords(fq, nonc, cc, terms):
+    """One coordinate dict, keyed like fq.nonc_keys and fq.c_keys, from
+    sparse parts plus (basis key, coefficient) terms folded into them."""
+    nonc, cc = dict(nonc), dict(cc)
+    fq._acc_terms(nonc, cc, terms)
+    nonc.update((("C", k), v) for k, v in cc.items())
+    return nonc
+
+
 def _orbit_closure(fq, key, s):
     """The rotation orbit of a non-central key under shifts by +-s, plus
-    every central key those rotations touch."""
+    every central key of modulus > 1 those rotations touch."""
     nonc = set()
     cs = set()
     frontier = [key]
@@ -524,7 +454,7 @@ def _orbit_closure(fq, key, s):
             continue
         nonc.add(cur)
         for shift in (s, -s):
-            for nk, _ in _fold_key(fq.I, cur, 1, shift):
+            for nk in _coords(fq, {}, {}, _fold_key(fq.I, cur, 1, shift)):
                 if nk[0] == "C":
                     cs.add(nk)
                 elif nk not in nonc:
@@ -604,50 +534,25 @@ def _derived_stage(fq, mid, y, s, roots_a, roots_b):
     def key_mod(key):
         return m if key[0] != "C" else fq.c_mod[key[1]]
 
-    orbits_a = [_orbit_members(r, s, I) for r in roots_a]
-    orbits_b = [_orbit_members(r, s, I) for r in roots_b]
     ma, mb = mid[0], mid[1]
     kappa_cols = []
     orbit_gens = []
-
-    def rotation_cost(col, gen):
-        w = fq.mul(fq.inv(gen), fq.rotate(gen, s))
-        wa, wb, wn, wc, _ = fq._sunpack(w)
-        if wa or wb:
-            raise AssertionError("orbit generator rotation left the centre")
-        for key, v in wn.items():
-            col[key] = col.get(key, 0) + v
-        for k, v in wc.items():
-            col[("C", k)] = col.get(("C", k), 0) + v
-
-    for members in orbits_a:
-        col: dict = {}
-        for i in members:
-            for u in range(I):
-                if ma[u]:
-                    for key, v in _fold_aa(I, u, i, ma[u]):
-                        col[key] = col.get(key, 0) + v
-                if mb[u]:
-                    for key, v in _fold_ab(I, i, u, -mb[u]):
-                        col[key] = col.get(key, 0) + v
-        gen = fq.from_parts(a={i: 1 for i in members})
-        rotation_cost(col, gen)
-        orbit_gens.append(gen)
-        kappa_cols.append(col)
-    for members in orbits_b:
-        col = {}
-        for i in members:
-            for u in range(I):
-                if ma[u]:
-                    for key, v in _fold_ab(I, u, i, ma[u]):
-                        col[key] = col.get(key, 0) + v
-                if mb[u]:
-                    for key, v in _fold_bb(I, u, i, mb[u]):
-                        col[key] = col.get(key, 0) + v
-        gen = fq.from_parts(b={i: 1 for i in members})
-        rotation_cost(col, gen)
-        orbit_gens.append(gen)
-        kappa_cols.append(col)
+    for family, roots in (("a", roots_a), ("b", roots_b)):
+        for root in roots:
+            members = _orbit_members(root, s, I)
+            gen = fq.from_parts(**{family: {i: 1 for i in members}})
+            wa, wb, wn, wc, _ = fq._sunpack(fq.mul(fq.inv(gen),
+                                                   fq.rotate(gen, s)))
+            if wa or wb:
+                raise AssertionError("orbit generator rotation left the centre")
+            if family == "a":
+                terms = (t for i in members for u in range(I)
+                         for t in aa_terms(u, i, ma[u]) + ab_terms(i, u, -mb[u]))
+            else:
+                terms = (t for i in members for u in range(I)
+                         for t in ab_terms(u, i, ma[u]) + bb_terms(u, i, mb[u]))
+            orbit_gens.append(gen)
+            kappa_cols.append(_coords(fq, wn, wc, terms))
 
     rhs_keys: dict = {}
     for pos, key in enumerate(fq.nonc_keys):
@@ -666,12 +571,17 @@ def _derived_stage(fq, mid, y, s, roots_a, roots_b):
     c_rel: set = set()
     for key in seeds:
         if key[0] == "C":
-            if fq.c_mod[key[1]] != 1:
-                c_rel.add(key)
+            c_rel.add(key)
             continue
         oc, cs = _orbit_closure(fq, key, s)
         nonc_rel |= oc
-        c_rel |= {k for k in cs if fq.c_mod[k[1]] != 1}
+        c_rel |= cs
+    if I % 2 == 0 and ("C", I // 2) in c_rel:
+        # every wrap of [a_i, b_{i+I/2}] past the fold costs the 2-torsion
+        # c_{I/2}, so a derived conjugator part on such an orbit can move
+        # that coordinate although no other coefficient reaches the orbit
+        for i in range(I // 2):
+            nonc_rel |= _orbit_closure(fq, ("AB", i, i + I // 2), s)[0]
     row_keys = sorted(nonc_rel) + sorted(c_rel)
     if not row_keys:
         return fq.identity(), {}
@@ -684,15 +594,15 @@ def _derived_stage(fq, mid, y, s, roots_a, roots_b):
     rhs = [rhs_keys.get(key, 0) for key in row_keys]
     for c, col in enumerate(kappa_cols):
         for key, v in col.items():
-            if key in row_pos:
-                rows[row_pos[key]][c] = v % key_mod(key)
+            rows[row_pos[key]][c] = v
     for c, key in enumerate(delta_cols):
         # conjugating by the derived part contributes (rotate by s) - id
         rows[row_pos[key]][base + c] -= 1
-        for nk, v in _fold_key(fq.I, key, 1, s):
-            if nk[0] == "C" and fq.c_mod[nk[1]] == 1:
-                continue
-            rows[row_pos[nk]][base + c] += v
+        for nk, v in _coords(fq, {}, {}, _fold_key(I, key, 1, s)).items():
+            # centred: -1 rather than its reduced form mod - 1 keeps the
+            # numbers in hnf_solve small (twice as fast at I = 16)
+            mod = key_mod(nk)
+            rows[row_pos[nk]][base + c] += v - mod if 2 * v > mod else v
     for r, key in enumerate(row_keys):
         rows[r][slack + r] = key_mod(key)
 

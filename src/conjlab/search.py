@@ -11,14 +11,16 @@ The quotient walk prunes hard: a quotient can only separate the pair if
 it separates z = g1 * g2^-1 from the identity whenever the pair is a
 central translate, and more generally equal images can never separate,
 so each spec first gets the cheap triviality test of z before any
-conjugacy work. Small quotients are settled exhaustively, large ones by
-the structured coordinate decision.
+conjugacy work. Conjugacy inside a quotient is then settled by the exact
+coordinate decision, whatever the quotient's order, and a separating
+quotient is checked to be well defined for d before it is returned.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from itertools import product
 from math import log2
 from typing import Optional
@@ -35,8 +37,8 @@ from .extension import (
     word_length,
 )
 from .nilpotent import central_c, d_mul, generator_a
-from .quotients import FiniteQuotientSpec, finite_conjugate, make_spec, \
-    quotient_conjugate_exact
+from .quotients import FiniteQuotientSpec, make_spec, \
+    quotient_conjugate_exact, quotient_is_well_defined
 
 I_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
@@ -49,7 +51,6 @@ class SearchBudget:
     max_order: Optional[int] = None
     max_specs: int = 20000
     m_cap: int = 8192
-    exhaustive_cap: int = 4096
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ def _prime_powers(cap: int):
     return sorted(out)
 
 
-_STREAM_CACHE: dict = {}
+# d -> {m_cap: sorted specs}; an entry lives as long as its d object
+_STREAM_CACHE = weakref.WeakKeyDictionary()
 
 
 def spec_stream(d, budget: SearchBudget):
@@ -86,19 +88,20 @@ def spec_stream(d, budget: SearchBudget):
 
     The full ladder-by-prime-power grid is built once per (d, m_cap) and
     sorted by approximate log2 order (the float key only orders the walk;
-    all group arithmetic stays exact). max_order is applied exactly,
-    with the float only used to skip the comparison far from the
-    boundary; max_specs truncates the tail.
+    all group arithmetic stays exact). The cache is keyed by the d object,
+    not its descriptor, which in-memory majorants all share. max_order is
+    applied exactly, with the float only used to skip the comparison far
+    from the boundary; max_specs truncates the tail.
     """
-    cache_key = (d.descriptor, budget.m_cap)
-    specs = _STREAM_CACHE.get(cache_key)
+    by_cap = _STREAM_CACHE.setdefault(d, {})
+    specs = by_cap.get(budget.m_cap)
     if specs is None:
         specs = [make_spec(I, m, d)
                  for I in I_LADDER
                  for m in _prime_powers(budget.m_cap)]
         specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
                                   s.exponent_modulus))
-        _STREAM_CACHE[cache_key] = specs
+        by_cap[budget.m_cap] = specs
     out = []
     for spec in specs:
         if budget.max_order is not None:
@@ -149,11 +152,10 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
             x, y = fq.image(g1), fq.image(g2)
             if x == y:
                 continue
-            if fq.order() <= budget.exhaustive_cap:
-                together = finite_conjugate(x, y, spec, cap=budget.exhaustive_cap)
-            else:
-                together = quotient_conjugate_exact(x, y, spec)
-            if not together:
+            if not quotient_conjugate_exact(x, y, spec):
+                if not quotient_is_well_defined(spec, d):
+                    raise AssertionError(f"{spec.name()} is not well defined "
+                                         f"for {d.descriptor}")
                 return McKinseyOutcome("non-conjugate",
                                        witness_spec=spec,
                                        witness_order=spec.order(),

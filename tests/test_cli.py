@@ -1,6 +1,7 @@
 """Command line driver: exit codes, output formats, config echo."""
 
 import json
+import sys
 
 import pytest
 
@@ -154,6 +155,21 @@ def test_growth_json_matches_csv(capsys):
     assert code == 0
     crows = [(r[0], r[1], r[2]) for r in parse_growth_csv(out)]
     assert jrows == crows
+
+
+def test_growth_json_large_orders(capsys):
+    # the i = 3 witness order has about 4800 digits, past Python's default
+    # int-to-str limit, which the command lifts while it runs
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "growth", "3", "--format", "json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = json.loads(out)["rows"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rows[3]["witness_order"].bit_length() == 15959
 
 
 # --------------------------------------------------------- check-quotient

@@ -1,7 +1,5 @@
-"""Shift extension and the word layer: parsing, spelling, lengths,
-structured serialization, and oracle agreement for the G operations."""
-
-import json
+"""Shift extension and the word layer: parsing, spelling, lengths, and
+oracle agreement for the G operations."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +7,7 @@ from hypothesis import given, strategies as st
 from conjlab.extension import (
     GElement,
     WordParseError,
-    abelianization_min_index,
     c_witness_word,
-    derived_support,
-    element_from_doc,
-    element_to_doc,
     g_commutator,
     g_conj,
     g_equal,
@@ -171,41 +165,6 @@ def test_spell_details():
     big = GElement(d_pow(central_c(3), 10 ** 6))
     assert parse_word(spell_element(big)) == big
     assert word_length(spell_element(big)) < 10 ** 8
-
-
-# ------------------------------------------------------------- serialization
-
-@given(letters_st)
-def test_doc_roundtrip(letters):
-    g = letters_to_g(letters)
-    doc = element_to_doc(g)
-    assert element_from_doc(json.loads(json.dumps(doc))) == g
-
-
-def test_doc_shape():
-    doc = element_to_doc(parse_word("a b[2] c[1] t^3"))
-    assert doc == {"a": [[0, 1]], "b": [[2, 1]],
-                   "derived": [["C(1)", 1]], "t": 3}
-    assert element_from_doc({}) == g_identity()
-    with pytest.raises(ValueError):
-        element_from_doc({"derived": [["D(1)", 1]]})
-
-
-# ----------------------------------------------------------------- supports
-
-def test_abelianization_min_index():
-    assert abelianization_min_index(parse_word("a[3] b[-2]")) == -2
-    assert abelianization_min_index(parse_word("c[5]")) is None
-    assert abelianization_min_index(g_identity()) is None
-
-
-def test_derived_support():
-    assert derived_support(parse_word("a[3] b[-2]")) == (-2, 3)
-    assert derived_support(GElement(d_element(derived={("AB", -1, 4): 2}))) == (-1, 4)
-    assert derived_support(parse_word("c[5]")) is None
-    assert derived_support(g_identity()) is None
-    with pytest.raises(ValueError):
-        derived_support(g_t())
 
 
 def test_g_equal_mod_relators(d_table):

@@ -26,7 +26,6 @@ from conjlab.nilpotent import (
     is_in_derived,
     phi_shift,
     power_of_two_exponent,
-    reduce_central,
 )
 
 from conftest import (
@@ -222,15 +221,6 @@ def test_identity_test_never_computes_large_values():
     d = Huge()
     assert not is_identity_d(central_c(4), d)
     assert not is_identity_d(d_pow(central_c(1), 10 ** 9), d)
-
-
-def test_reduce_central(d_table):
-    x = d_element(derived={("C", 1): 5, ("C", 2): 40, ("C", 4): 100,
-                           ("C", 3): 9, ("AA", 0, 1): 7})
-    r = reduce_central(x, d_table)
-    assert r.derived == {("C", 1): 1, ("C", 2): 9, ("C", 4): 100,
-                         ("C", 3): 9, ("AA", 0, 1): 7}
-    assert reduce_central(r, d_table) == r
 
 
 def test_d_equal_mod_relators(d_table):

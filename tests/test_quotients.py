@@ -12,14 +12,14 @@ from conjlab.quotients import (
     FiniteQuotientSpec,
     FoldedQuotient,
     finite_conjugate,
-    finite_image,
     make_spec,
-    project_mod_I,
     quotient_conjugate_exact,
     quotient_is_well_defined,
     required_c_modulus,
 )
-from conjlab.sepfunc import constant_prime, from_table, nth_prime
+from conjlab.search import SearchBudget, spec_stream
+from conjlab.sepfunc import constant_prime, from_table, nth_prime, \
+    parse_d_spec
 
 from conftest import letters_to_g, random_letters
 
@@ -28,42 +28,43 @@ D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
 # ------------------------------------------------------------ index folding
 
+# moduli above every exponent used below, so the images show the index
+# folding alone; at k = I/2 the flip c_k = c_{-k} = c_k^{-1} forces 2-torsion
+FOLD2 = FoldedQuotient(2, 64, {1: 2})
+FOLD4 = FoldedQuotient(4, 64, {1: 64, 2: 2})
+
+
 def test_project_mod_i_frozen():
-    assert project_mod_I(g_t(7), 4).t_exp == 3
-    assert project_mod_I(g_t(-1), 4).t_exp == 3
+    assert FOLD4.image(g_t(7)) == FOLD4.image(g_t(-1)) == \
+        FOLD4.identity()[:4] + (3,)
 
-    flipped = project_mod_I(parse_word("c[3]"), 4)
-    assert flipped.d_part.derived == {("C", 1): -1}
-    kept = project_mod_I(parse_word("c[2]"), 4)
-    assert kept.d_part.derived == {("C", 2): 1}
-    dropped = project_mod_I(parse_word("c[4]"), 4)
-    assert dropped == GElement()
+    # c_3 folds onto c_1^{-1}, c_2 stays, c_4 folds onto c_0 = 1
+    assert FOLD4.image(parse_word("c[3]"))[3] == (63, 0)
+    assert FOLD4.image(parse_word("c[2]"))[3] == (0, 1)
+    assert FOLD4.image(parse_word("c[4]")) == FOLD4.identity()
 
-    # at k = I/2 the flip c_k = c_{-k} = c_k^{-1} forces 2-torsion
-    assert project_mod_I(parse_word("c[1]^2"), 2) == GElement()
-    assert project_mod_I(parse_word("c[1]^3"), 2).d_part.derived == {("C", 1): 1}
-    # away from it exponents stay integral
-    assert project_mod_I(parse_word("c[1]^9"), 4).d_part.derived == {("C", 1): 9}
+    assert FOLD2.image(parse_word("c[1]^2")) == FOLD2.identity()
+    assert FOLD2.image(parse_word("c[1]^3"))[3] == (1,)
+    assert FOLD4.image(parse_word("c[1]^9"))[3] == (9, 0)
 
 
 def test_project_mod_i_reorders_generators():
     # a_1 a_2 folds to indices 1, 0; restoring ascending order inside the
     # image costs a commutator, so plain coordinate folding would be wrong
-    g = project_mod_I(parse_word("a[1] a[2]"), 2)
-    assert g.d_part.a_part == {0: 1, 1: 1}
-    assert g.d_part.derived == {("AA", 0, 1): -1}
+    g = FOLD2.image(parse_word("a[1] a[2]"))
+    assert g[0] == (1, 1)
+    assert {k: v for k, v in zip(FOLD2.nonc_keys, g[2]) if v} == \
+        {("AA", 0, 1): 63}
 
 
 def test_fold_respects_multiplication():
     rng = random.Random(51)
     for I in (1, 2, 3, 4):
+        fq = make_spec(I, 64, constant_prime(2)).folded()
         for _ in range(40):
             x = letters_to_g(random_letters(rng, max_len=4))
             y = letters_to_g(random_letters(rng, max_len=4))
-            lhs = project_mod_I(g_mul(x, y), I)
-            rhs_x, rhs_y = project_mod_I(x, I), project_mod_I(y, I)
-            fq = FoldedQuotient(I, None, {k: None for k in range(1, I // 2 + 1)})
-            assert fq.image(lhs) == fq.mul(fq.image(rhs_x), fq.image(rhs_y))
+            assert fq.image(g_mul(x, y)) == fq.mul(fq.image(x), fq.image(y))
 
 
 # --------------------------------------------------------- central moduli
@@ -124,10 +125,6 @@ def test_well_definedness_guards_images():
     spec = FiniteQuotientSpec(3, 2, ((1, 2),))
     assert quotient_is_well_defined(spec, constant_prime(2))
     assert not quotient_is_well_defined(spec, D_TABLE)
-    g = parse_word("a[0]")
-    assert finite_image(g, spec, constant_prime(2)) is not None
-    with pytest.raises(ValueError):
-        finite_image(g, spec, D_TABLE)
     for I in (1, 2, 3, 4, 6, 8):
         assert quotient_is_well_defined(make_spec(I, 6, D_TABLE), D_TABLE)
 
@@ -173,12 +170,6 @@ def test_order_and_enumeration():
     fq = spec.folded()
     elems = list(fq.elements())
     assert len(elems) == len(set(elems)) == spec.order() == 8
-    infinite = FoldedQuotient(2, None, {1: None})
-    assert not infinite.is_finite()
-    with pytest.raises(ValueError):
-        infinite.order()
-    with pytest.raises(ValueError):
-        next(infinite.elements())
 
 
 # -------------------------------------------------------- conjugacy in Q
@@ -211,6 +202,32 @@ def test_exact_matches_exhaustive_on_q22():
             x, y = rng.choice(elems), rng.choice(elems)
         assert finite_conjugate(x, y, spec) == \
             quotient_conjugate_exact(x, y, spec)
+
+
+@pytest.mark.parametrize("d_spec", ["table:2,3,5", "constant:3"])
+def test_exact_matches_exhaustive_on_streamed_specs(d_spec):
+    # every quotient the search walks below order 4096, on conjugates,
+    # central translates of conjugates and abelianization perturbations
+    d = parse_d_spec(d_spec)
+    rng = random.Random(d_spec)
+    specs = spec_stream(d, SearchBudget(max_order=4096))
+    assert len(specs) == 11
+    for spec in specs:
+        fq = spec.folded()
+        c1 = fq.image(parse_word("c[1]"))
+        for _ in range(3):
+            x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
+            y = fq.conj(x, fq.image(letters_to_g(random_letters(rng, max_len=5))))
+            perturbed = fq.mul(y, fq.image(parse_word(rng.choice("abAB"))))
+            for other in (y, fq.mul(y, c1), perturbed):
+                assert finite_conjugate(x, other, spec) == \
+                    quotient_conjugate_exact(x, other, spec), (spec, x, other)
+        # t and t c_1 meet only through a derived conjugator on the orbit
+        # of [a_0, b_1], whose rotation wraps onto the 2-torsion c_1
+        t = fq.image(parse_word("t"))
+        tc = fq.mul(t, c1)
+        assert finite_conjugate(t, tc, spec) == \
+            quotient_conjugate_exact(t, tc, spec)
 
 
 def test_exact_handles_huge_quotients():

@@ -8,8 +8,10 @@ from conftest import letters_to_g, random_letters
 from conjlab.conjugacy import conjugacy_decide
 from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
     parse_word
+from conjlab.machine import parse_program
 from conjlab.nilpotent import central_c, d_mul, generator_a
-from conjlab.quotients import make_spec, required_c_modulus
+from conjlab.quotients import make_spec, quotient_is_well_defined, \
+    required_c_modulus
 from conjlab.search import (
     I_LADDER,
     SearchBudget,
@@ -18,7 +20,7 @@ from conjlab.search import (
     rf_witness_order,
     spec_stream,
 )
-from conjlab.sepfunc import constant_prime, from_table
+from conjlab.sepfunc import constant_prime, fast_majorant, from_table
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -111,7 +113,7 @@ def test_mckinsey_separates_twist_mismatch():
 
 def test_mckinsey_large_witness_uses_exact_route():
     # under a constant d the smallest quotient keeping c_1 alive has
-    # order 3 * 31^19, far beyond the exhaustive cap
+    # order 3 * 31^19, far beyond exhaustive enumeration
     d = constant_prime(31)
     out = mckinsey_search(parse_word("a[0]"), parse_word("a[0] c[1]"), d,
                           SearchBudget(max_conj_len=1))
@@ -132,6 +134,22 @@ def test_mckinsey_budget_exhausted():
     assert out.quotients_tested == len(spec_stream(D_TABLE, budget))
     # the pair is separable in principle, just not within this budget
     assert not conjugacy_decide(g1, g2, D_TABLE).is_conjugate
+
+
+def test_spec_cache_is_per_d_object():
+    # in-memory majorants all share the descriptor "program:<memory>"; a
+    # ladder cached by descriptor would hand dB the moduli of dA and a
+    # "separating" quotient that is not even a quotient for dB
+    dA = fast_majorant(parse_program("halt"))
+    dB = fast_majorant(parse_program("inc y\nhalt"))
+    g1, g2 = parse_word("a[0]"), parse_word("T a[0] c[1]^5 t")
+    budget = SearchBudget(max_conj_len=0, max_specs=20)
+    first = mckinsey_search(g1, g2, dA, budget)
+    assert first.verdict == "non-conjugate"
+    assert quotient_is_well_defined(first.witness_spec, dA)
+    assert conjugacy_decide(g1, g2, dB).is_conjugate
+    out = mckinsey_search(g1, g2, dB, budget)
+    assert out.verdict == "budget-exhausted"
 
 
 def test_mckinsey_agrees_with_decision():
