@@ -16,10 +16,21 @@ strictly increasing d yields coprime tail values (gcd 1), an eventually
 constant d yields an exact finite gcd, and anything else kills the index
 outright (modulus 1), which is always a legitimate quotient.
 
+c_bounds(I, d) makes that pass once per I: the bound B(k) does not
+depend on m, so M(k) = gcd(m, B(k)) for every m, and the spec ladder
+reads all of its moduli from one list per I. FiniteQuotientSpec refuses
+moduli under which the folded coordinates form no group: one that does
+not divide m, or one at k = I/2 that does not divide 2.
+
 Element layout: (a, b, nonc, c, t) where a and b are exponent tuples over
 residues 0..I-1, nonc runs over the sorted folded basis AA(i<j), AB(i<=j),
 BB(i<j), c runs over the canonical indices with modulus > 1, and t is the
-t-exponent mod I. Tuples keep elements hashable and enumerable.
+t-exponent mod I. Tuples keep elements hashable and enumerable. The
+non-central key layout depends on I alone and is built once per I and
+shared by every FoldedQuotient of that I. A FiniteQuotientSpec builds its
+FoldedQuotient on first use and keeps it, so the folded arithmetic lives
+exactly as long as the spec; its order is a closed formula in I, m and
+the c-moduli.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order. finite_conjugate
@@ -31,11 +42,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 
 from .conjugacy import IntegerLinearSystem, hnf_solve
 from .extension import GElement
 from .nilpotent import _mul_correction, aa_terms, ab_terms, bb_terms
+
+
+@cache
+def _layout(I):
+    """The sorted non-central keys for index modulus I and their positions;
+    shared, read-only, by every FoldedQuotient of that I."""
+    keys = ([("AA", i, j) for i in range(I) for j in range(i + 1, I)]
+            + [("BB", i, j) for i in range(I) for j in range(i + 1, I)]
+            + [("AB", i, j) for i in range(I) for j in range(i, I)])
+    nonc_keys = tuple(sorted(keys))
+    return nonc_keys, {k: p for p, k in enumerate(nonc_keys)}
 
 
 def _fold_key(I, key, coeff, shift=0):
@@ -68,13 +91,9 @@ class FoldedQuotient:
         self.I = I
         self.m = m
         self.c_mod = {k: c_mod[k] for k in range(1, I // 2 + 1)}
-        keys = ([("AA", i, j) for i in range(I) for j in range(i + 1, I)]
-                + [("BB", i, j) for i in range(I) for j in range(i + 1, I)]
-                + [("AB", i, j) for i in range(I) for j in range(i, I)])
-        self.nonc_keys = tuple(sorted(keys))
+        self.nonc_keys, self._nonc_pos = _layout(I)
         self.c_keys = tuple(("C", k) for k in range(1, I // 2 + 1)
                             if self.c_mod[k] != 1)
-        self._nonc_pos = {k: p for p, k in enumerate(self.nonc_keys)}
         self._c_pos = {k: p for p, k in enumerate(self.c_keys)}
 
     # sparse working form: dicts holding only nonzero coordinates
@@ -252,12 +271,6 @@ class FoldedQuotient:
         a, b, nonc, cc, t = self._simage(g)
         return not a and not b and not nonc and not cc and t % self.I == 0
 
-    def order(self) -> int:
-        total = self.I * self.m ** (2 * self.I + len(self.nonc_keys))
-        for mod in self.c_mod.values():
-            total *= mod
-        return total
-
     def elements(self):
         cmods = [self.c_mod[key[1]] for key in self.c_keys]
         for t in range(self.I):
@@ -276,6 +289,7 @@ def _two_adic_valuation(n: int) -> int:
     return s
 
 
+@cache
 def _cycle_residues(I: int):
     """One full period of the residues 2^j mod I for j at and past the
     2-adic valuation of I, together with that valuation."""
@@ -286,7 +300,36 @@ def _cycle_residues(I: int):
     while nxt != r:
         out.append(nxt)
         nxt = (nxt * 2) % I
-    return s, out
+    return s, tuple(out)
+
+
+def c_bounds(I: int, d) -> tuple:
+    """B(k) for k = 1..I//2: the gcd of the 2-torsion bound at k = I/2 and
+    every d(j) whose relator folds onto k or I-k, with 0 where nothing
+    folds. B does not depend on m; the largest legitimate modulus of the
+    central index k in Q(I, m) is gcd(m, B(k))."""
+    bounds = [0] * (I // 2 + 1)  # bounds[k]; slot 0 is never read
+    if I % 2 == 0:
+        bounds[I // 2] = 2
+    s, cycle = _cycle_residues(I)
+    r = 1 % I
+    for j in range(s):
+        k = min(r, I - r)
+        if k:
+            bounds[k] = math.gcd(bounds[k], d.value(j))
+        r = (r * 2) % I
+    for off, r in enumerate(cycle):
+        k = min(r, I - r)
+        if not k:
+            continue
+        if d.strictly_increasing_from is not None or d.eventual_constant is None:
+            bounds[k] = 1
+            continue
+        start, tail = d.eventual_constant
+        for j in range(s + off, start, len(cycle)):
+            bounds[k] = math.gcd(bounds[k], d.value(j))
+        bounds[k] = math.gcd(bounds[k], tail)
+    return tuple(bounds[1:])
 
 
 def required_c_modulus(I: int, k: int, m: int, d) -> int:
@@ -295,31 +338,7 @@ def required_c_modulus(I: int, k: int, m: int, d) -> int:
     folds onto k or I-k."""
     if not 1 <= k <= I // 2:
         raise ValueError("k must lie in 1..I//2")
-    g = m
-    if 2 * k == I:
-        g = math.gcd(g, 2)
-    targets = {k % I, (I - k) % I}
-    s, cycle = _cycle_residues(I)
-    r = 1 % I
-    for j in range(s):
-        if r in targets:
-            g = math.gcd(g, d.value(j))
-        r = (r * 2) % I
-    hits = [s + off for off, res in enumerate(cycle) if res in targets]
-    if hits:
-        if d.strictly_increasing_from is not None:
-            g = 1
-        elif d.eventual_constant is not None:
-            start, tail = d.eventual_constant
-            for j0 in hits:
-                j = j0
-                while j < start:
-                    g = math.gcd(g, d.value(j))
-                    j += len(cycle)
-            g = math.gcd(g, tail)
-        else:
-            g = 1
-    return g
+    return math.gcd(m, c_bounds(I, d)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -335,26 +354,48 @@ class FiniteQuotientSpec:
         ks = [k for k, _ in self.c_moduli]
         if ks != list(range(1, I // 2 + 1)):
             raise ValueError("c_moduli must list k = 1..I//2 in order")
-        for _, mod in self.c_moduli:
+        for k, mod in self.c_moduli:
             if mod < 1:
                 raise ValueError("moduli must be positive")
+            # otherwise the folded coordinates do not multiply as a group
+            if m % mod:
+                raise ValueError("every c-modulus must divide m")
+            if 2 * k == I and 2 % mod:
+                raise ValueError("the c-modulus at k = I/2 must divide 2")
 
     def name(self) -> str:
         return f"Q(I={self.index_modulus},m={self.exponent_modulus})"
 
     def c_modulus(self, k: int) -> int:
-        return dict(self.c_moduli)[k]
+        if not 1 <= k <= self.index_modulus // 2:
+            raise ValueError("k must lie in 1..I//2")
+        return self.c_moduli[k - 1][1]
+
+    def c_survives(self, n: int) -> bool:
+        """Whether the central generator c_n maps to a nontrivial element:
+        it folds onto k = min(n mod I, I - n mod I), and survives exactly
+        when k != 0 and M(k) != 1. Needs no folded arithmetic."""
+        I = self.index_modulus
+        r = n % I
+        k = min(r, I - r)
+        return k != 0 and self.c_modulus(k) != 1
+
+    @cached_property
+    def _folded(self) -> FoldedQuotient:
+        return FoldedQuotient(self.index_modulus, self.exponent_modulus,
+                              dict(self.c_moduli))
 
     def folded(self) -> FoldedQuotient:
-        cached = _FOLDED_CACHE.get(self)
-        if cached is None:
-            cached = FoldedQuotient(self.index_modulus, self.exponent_modulus,
-                                    dict(self.c_moduli))
-            _FOLDED_CACHE[self] = cached
-        return cached
+        """The folded arithmetic of this quotient, built on first use and
+        kept on the spec, so it lives exactly as long as the spec."""
+        return self._folded
 
     def order(self) -> int:
-        return self.folded().order()
+        I, m = self.index_modulus, self.exponent_modulus
+        total = I * m ** (2 * I + I * (3 * I - 1) // 2)
+        for _, mod in self.c_moduli:
+            total *= mod
+        return total
 
     def log2_order(self) -> float:
         I, m = self.index_modulus, self.exponent_modulus
@@ -365,33 +406,35 @@ class FiniteQuotientSpec:
         return total
 
 
-_FOLDED_CACHE: dict = {}
+def spec_from_bounds(I: int, m: int, bounds) -> FiniteQuotientSpec:
+    """Q(I, m) with the c-moduli gcd(m, B(k)) read from c_bounds(I, d)."""
+    return FiniteQuotientSpec(I, m, tuple((k, math.gcd(m, b))
+                                          for k, b in enumerate(bounds, 1)))
 
 
 def make_spec(I: int, m: int, d) -> FiniteQuotientSpec:
     """The finite quotient with the largest legitimate c-moduli."""
-    mods = tuple((k, required_c_modulus(I, k, m, d)) for k in range(1, I // 2 + 1))
-    return FiniteQuotientSpec(I, m, mods)
+    return spec_from_bounds(I, m, c_bounds(I, d))
 
 
 def quotient_is_well_defined(spec: FiniteQuotientSpec, d) -> bool:
     """True when every defining relator maps to the identity: each declared
     modulus must divide the gcd of everything folding onto its index."""
-    I, m = spec.index_modulus, spec.exponent_modulus
-    for k, declared in spec.c_moduli:
-        if required_c_modulus(I, k, m, d) % declared != 0:
-            return False
-    return True
+    m = spec.exponent_modulus
+    return all(math.gcd(m, b) % declared == 0
+               for (_, declared), b in zip(spec.c_moduli,
+                                           c_bounds(spec.index_modulus, d)))
 
 
 def finite_conjugate(x, y, spec: FiniteQuotientSpec, cap: int = 4096) -> bool:
     """Exhaustive conjugacy test, the reference for quotient_conjugate_exact;
     refuses quotients larger than cap."""
-    fq = spec.folded()
-    if fq.order() > cap:
-        raise ValueError(f"order {fq.order()} exceeds the cap {cap}")
+    order = spec.order()
+    if order > cap:
+        raise ValueError(f"order {order} exceeds the cap {cap}")
     if x == y:
         return True
+    fq = spec.folded()
     for g in fq.elements():
         if fq.conj(x, g) == y:
             return True

@@ -37,8 +37,8 @@ from .extension import (
     word_length,
 )
 from .nilpotent import central_c, d_mul, generator_a
-from .quotients import FiniteQuotientSpec, make_spec, \
-    quotient_conjugate_exact, quotient_is_well_defined
+from .quotients import FiniteQuotientSpec, c_bounds, \
+    quotient_conjugate_exact, quotient_is_well_defined, spec_from_bounds
 
 I_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
@@ -88,17 +88,21 @@ def spec_stream(d, budget: SearchBudget):
 
     The full ladder-by-prime-power grid is built once per (d, m_cap) and
     sorted by approximate log2 order (the float key only orders the walk;
-    all group arithmetic stays exact). The cache is keyed by the d object,
-    not its descriptor, which in-memory majorants all share. max_order is
-    applied exactly, with the float only used to skip the comparison far
-    from the boundary; max_specs truncates the tail.
+    all group arithmetic stays exact). Each I reads the c-moduli of every
+    m from one c_bounds(I, d) call. The cache is keyed by the d object,
+    not its descriptor, which in-memory majorants all share; each spec
+    keeps its own folded arithmetic once built, so that too lives as long
+    as d. max_order is applied exactly, with the float only used to skip
+    the comparison far from the boundary; max_specs truncates the tail.
     """
     by_cap = _STREAM_CACHE.setdefault(d, {})
     specs = by_cap.get(budget.m_cap)
     if specs is None:
-        specs = [make_spec(I, m, d)
-                 for I in I_LADDER
-                 for m in _prime_powers(budget.m_cap)]
+        ms = _prime_powers(budget.m_cap)
+        specs = []
+        for I in I_LADDER:
+            bounds = c_bounds(I, d)
+            specs.extend(spec_from_bounds(I, m, bounds) for m in ms)
         specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
                                   s.exponent_modulus))
         by_cap[budget.m_cap] = specs
@@ -169,10 +173,11 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
 
 def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
     """Order of the first streamed quotient in which c_{2^i} survives,
-    or None when the budget runs out first."""
-    z = GElement(central_c(2 ** i))
+    or None when the budget runs out first. Survival is read off the
+    c-moduli (FiniteQuotientSpec.c_survives), so the walk builds no
+    folded arithmetic."""
     for spec in spec_stream(d, budget):
-        if not spec.folded().image_is_trivial(z):
+        if spec.c_survives(2 ** i):
             return spec.order()
     return None
 

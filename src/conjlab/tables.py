@@ -222,9 +222,10 @@ def from_permutations(alpha, beta, tau) -> FiniteGroupTable:
 def from_quotient_spec(spec) -> FiniteGroupTable:
     """Multiplication table of a finite quotient, marking the images of
     a_0, b_0, and t."""
+    order = spec.order()
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(f"order {order} exceeds the cap {MAX_TABLE_ORDER}")
     fq = spec.folded()
-    if fq.order() > MAX_TABLE_ORDER:
-        raise ValueError(f"order {fq.order()} exceeds the cap {MAX_TABLE_ORDER}")
     elems = list(fq.elements())
     index = {el: i for i, el in enumerate(elems)}
     table = [[index[fq.mul(x, y)] for y in elems] for x in elems]

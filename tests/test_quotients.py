@@ -3,11 +3,12 @@ orders, and agreement between exhaustive and algebraic conjugacy."""
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from conjlab.extension import GElement, g_inv, g_mul, g_t, parse_word
-from conjlab.nilpotent import d_element
+from conjlab.nilpotent import central_c, d_element
 from conjlab.quotients import (
     FiniteQuotientSpec,
     FoldedQuotient,
@@ -24,6 +25,19 @@ from conjlab.sepfunc import constant_prime, from_table, nth_prime, \
 from conftest import letters_to_g, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
+
+REPO = Path(__file__).resolve().parents[1]
+# eventually constant (two tables, a constant), strictly increasing, and
+# program-backed without metadata
+D_SPECS = ["table:2,31,127,1021,8191", "table:2,3,5", "constant:3",
+           "nth-prime", "program:scripts/programs/linear.rm"]
+
+
+def load_d(d_spec):
+    """parse_d_spec, with a program path taken from the repository root."""
+    if d_spec.startswith("program:"):
+        d_spec = f"program:{REPO / d_spec[len('program:'):]}"
+    return parse_d_spec(d_spec)
 
 
 # ------------------------------------------------------------ index folding
@@ -92,6 +106,48 @@ def test_required_c_modulus_metadata_dependence():
     assert required_c_modulus(2, 1, 6, nth_prime()) == 2
 
 
+def _relator_c_modulus(I, k, m, d):
+    """M(k) straight from the relators c_{2^j}^{d(j)}: the gcd of m, of 2
+    at k = I/2, and of every d(j) with 2^j = +-k mod I. An eventually
+    constant d reaches every residue past its constant start within one
+    pre-period and one cycle; any other d is unbounded on the cycle."""
+    first_seen: dict = {}
+    j = 0
+    while pow(2, j, I) not in first_seen:
+        first_seen[pow(2, j, I)] = j
+        j += 1
+    pre = first_seen[pow(2, j, I)]
+    period = j - pre
+    targets = {k % I, -k % I}
+    g = m
+    if 2 * k == I:
+        g = math.gcd(g, 2)
+    if d.strictly_increasing_from is None and d.eventual_constant is not None:
+        start = d.eventual_constant[0]
+        for j in range(start + pre + period):
+            if pow(2, j, I) in targets:
+                g = math.gcd(g, d.value(j))
+        return g
+    for j in range(pre):
+        if pow(2, j, I) in targets:
+            g = math.gcd(g, d.value(j))
+    if any(pow(2, j, I) in targets for j in range(pre, pre + period)):
+        g = 1
+    return g
+
+
+def test_c_moduli_match_relator_oracle():
+    i_values = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 16, 24, 32, 48, 64]
+    m_values = [2, 3, 4, 5, 8, 9, 25, 27, 31, 32, 64, 127, 1021, 2048]
+    for d_spec in D_SPECS + ["program:scripts/programs/power2.rm", "constant:2"]:
+        d = load_d(d_spec)
+        for I in i_values:
+            for m in m_values:
+                expected = tuple((k, _relator_c_modulus(I, k, m, d))
+                                 for k in range(1, I // 2 + 1))
+                assert make_spec(I, m, d).c_moduli == expected, (d_spec, I, m)
+
+
 def test_make_spec_orders():
     assert make_spec(1, 2, D_TABLE).order() == 8
     assert make_spec(2, 2, D_TABLE).order() == 2048
@@ -115,6 +171,17 @@ def test_spec_validation():
         FiniteQuotientSpec(4, 2, ((1, 2),))  # k = 2 row missing
     with pytest.raises(ValueError):
         FiniteQuotientSpec(2, 2, ((1, 0),))
+    # a modulus that does not divide m: c_1 and c_{-1} would fold apart
+    with pytest.raises(ValueError):
+        FiniteQuotientSpec(2, 2, ((1, 3),))
+    with pytest.raises(ValueError):
+        FiniteQuotientSpec(3, 4, ((1, 3),))
+    # at k = I/2 the flip c_k = c_k^{-1} allows 2-torsion at most
+    with pytest.raises(ValueError):
+        FiniteQuotientSpec(2, 4, ((1, 4),))
+    with pytest.raises(ValueError):
+        FiniteQuotientSpec(4, 9, ((1, 9), (2, 3)))
+    assert FiniteQuotientSpec(3, 2, ((1, 2),)).c_modulus(1) == 2
     with pytest.raises(ValueError):
         FoldedQuotient(0, 2, {})
     with pytest.raises(ValueError):
@@ -132,6 +199,9 @@ def test_well_definedness_guards_images():
 def test_folded_cache_identity():
     spec = make_spec(2, 2, D_TABLE)
     assert spec.folded() is spec.folded()
+    # the non-central key layout depends on I alone and is shared
+    assert make_spec(8, 2, D_TABLE).folded().nonc_keys is \
+        make_spec(8, 31, D_TABLE).folded().nonc_keys
 
 
 # ----------------------------------------------------------------- images
@@ -156,6 +226,19 @@ def test_image_kills_relators():
     for i in range(6):
         relator = GElement(d_element(derived={("C", 2 ** i): D_TABLE.value(i)}))
         assert fq.image_is_trivial(relator)
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_c_survives_matches_image(d_spec):
+    # the witness walk reads survival off the moduli; the folded image of
+    # the central generator is the reference
+    specs = spec_stream(load_d(d_spec), SearchBudget())
+    for spec in specs[::7]:
+        fq = spec.folded()
+        for i in range(7):
+            assert spec.c_survives(2 ** i) == \
+                (not fq.image_is_trivial(GElement(central_c(2 ** i)))), \
+                (spec, i)
 
 
 def test_image_from_parts_round_trip():
@@ -214,6 +297,7 @@ def test_exact_matches_exhaustive_on_streamed_specs(d_spec):
     assert len(specs) == 11
     for spec in specs:
         fq = spec.folded()
+        assert len(list(fq.elements())) == spec.order()
         c1 = fq.image(parse_word("c[1]"))
         for _ in range(3):
             x = fq.image(letters_to_g(random_letters(rng, max_len=5)))

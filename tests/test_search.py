@@ -1,6 +1,7 @@
 """Interleaved conjugator/quotient search and the witness growth table."""
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import letters_to_g, random_letters
@@ -20,7 +21,8 @@ from conjlab.search import (
     rf_witness_order,
     spec_stream,
 )
-from conjlab.sepfunc import constant_prime, fast_majorant, from_table
+from conjlab.sepfunc import constant_prime, fast_majorant, from_table, \
+    parse_d_spec
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -174,6 +176,20 @@ def test_rf_witness_orders():
     assert rf_witness_order(0, D_TABLE) == 2048
     assert rf_witness_order(1, D_TABLE) == make_spec(8, 31, D_TABLE).order()
     assert rf_witness_order(1, D_TABLE, SearchBudget(max_order=10 ** 6)) is None
+
+
+def test_cold_growth_table_memory():
+    # a fresh d pays its whole spec ladder; the witness walk must not
+    # leave folded arithmetic behind for each of the ~13k specs it reads
+    tracemalloc.start()
+    try:
+        rows = growth_table(parse_d_spec("table:2,31,127,1021,8191"), range(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.witness_order.bit_length() for r in rows] == \
+        [12, 548, 2891, 15959, 46116]
+    assert peak < 64 * 2 ** 20
 
 
 def test_growth_table_rows():
