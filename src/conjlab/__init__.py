@@ -61,7 +61,6 @@ from .machine import Program, ProgramError, StepLimitExceeded, load_program, \
     parse_program
 from .sepfunc import (
     SeparabilityFunction,
-    budget_factor,
     constant_prime,
     fast_majorant,
     from_table,

@@ -10,27 +10,29 @@ I is even.
 M(k) must divide m and every d(j) whose relator c_{2^j}^{d(j)} folds onto
 index k or I-k. The residues 2^j mod I split into a pre-periodic part
 (j below the 2-adic valuation of I) and a cycle hit by infinitely many j;
-for cycle residues the divisibility constraint over the whole tail is
-computable only from the metadata a separability function carries: a
-strictly increasing d yields coprime tail values (gcd 1), an eventually
-constant d yields an exact finite gcd, and anything else kills the index
-outright (modulus 1), which is always a legitimate quotient.
+relator_folds(I, d) lists, for each k, the finitely many j whose d(j)
+must be read and the constant tail of d on the cycle. Only an eventually
+constant d has such a tail; any other d is unbounded along the cycle and
+kills the index outright (modulus 1), which is always a legitimate
+quotient.
 
 c_bounds(I, d) makes that pass once per I: the bound B(k) does not
 depend on m, so M(k) = gcd(m, B(k)) for every m, and the spec ladder
 reads all of its moduli from one list per I. FiniteQuotientSpec refuses
 moduli under which the folded coordinates form no group: one that does
-not divide m, or one at k = I/2 that does not divide 2.
+not divide m, or one at k = I/2 that does not divide 2. FoldedQuotient
+is built only from a spec, so its arithmetic is always a group.
 
-Element layout: (a, b, nonc, c, t) where a and b are exponent tuples over
-residues 0..I-1, nonc runs over the sorted folded basis AA(i<j), AB(i<=j),
-BB(i<j), c runs over the canonical indices with modulus > 1, and t is the
-t-exponent mod I. Tuples keep elements hashable and enumerable. The
-non-central key layout depends on I alone and is built once per I and
-shared by every FoldedQuotient of that I. A FiniteQuotientSpec builds its
-FoldedQuotient on first use and keeps it, so the folded arithmetic lives
-exactly as long as the spec; its order is a closed formula in I, m and
-the c-moduli.
+Element form: (a, b, nonc, c, t). a and b map residues 0..I-1, and nonc
+the folded basis keys AA(i<j), AB(i<=j), BB(i<j), to exponents mod m; c
+maps each canonical index k with M(k) > 1 to its exponent mod M(k); t is
+the t-exponent mod I. The dicts hold only nonzero, reduced coordinates,
+so equal elements compare equal and no operation pays for the O(I^2)
+full layout. Elements are values: no operation mutates its arguments,
+and a caller that needs a hashable key freezes the dicts itself. A
+FiniteQuotientSpec builds its FoldedQuotient on first use and keeps it,
+so the folded arithmetic lives exactly as long as the spec; its order is
+a closed formula in I, m and the c-moduli.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order. finite_conjugate
@@ -42,23 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 
 from .conjugacy import IntegerLinearSystem, hnf_solve
 from .extension import GElement
 from .nilpotent import _mul_correction, aa_terms, ab_terms, bb_terms
 
-
-@cache
-def _layout(I):
-    """The sorted non-central keys for index modulus I and their positions;
-    shared, read-only, by every FoldedQuotient of that I."""
-    keys = ([("AA", i, j) for i in range(I) for j in range(i + 1, I)]
-            + [("BB", i, j) for i in range(I) for j in range(i + 1, I)]
-            + [("AB", i, j) for i in range(I) for j in range(i, I)])
-    nonc_keys = tuple(sorted(keys))
-    return nonc_keys, {k: p for p, k in enumerate(nonc_keys)}
+_ENUMERATION_CAP = 4096  # largest order finite_conjugate enumerates
 
 
 def _fold_key(I, key, coeff, shift=0):
@@ -76,27 +69,17 @@ def _fold_key(I, key, coeff, shift=0):
 
 
 class FoldedQuotient:
-    """Arithmetic context for index-folded elements.
+    """Arithmetic of the elements of one validated FiniteQuotientSpec.
 
     m is the a/b/non-central exponent modulus; c_mod maps each k in
-    1..I//2 to its modulus. Indices with modulus 1 are dropped from
-    element tuples entirely.
+    1..I//2 to its modulus. Indices with modulus 1 never appear in an
+    element.
     """
 
-    def __init__(self, I: int, m: int, c_mod: dict):
-        if I < 1:
-            raise ValueError("index modulus must be positive")
-        if m < 2:
-            raise ValueError("exponent modulus must be at least 2")
-        self.I = I
-        self.m = m
-        self.c_mod = {k: c_mod[k] for k in range(1, I // 2 + 1)}
-        self.nonc_keys, self._nonc_pos = _layout(I)
-        self.c_keys = tuple(("C", k) for k in range(1, I // 2 + 1)
-                            if self.c_mod[k] != 1)
-        self._c_pos = {k: p for p, k in enumerate(self.c_keys)}
-
-    # sparse working form: dicts holding only nonzero coordinates
+    def __init__(self, spec: FiniteQuotientSpec):
+        self.I = spec.index_modulus
+        self.m = spec.exponent_modulus
+        self.c_mod = dict(spec.c_moduli)
 
     def _acc_exp(self, dest, key, v):
         v = (dest.get(key, 0) + v) % self.m
@@ -131,11 +114,12 @@ class FoldedQuotient:
                 k, v = I - k, -v
             self._acc_c(cc, k, v)
 
-    def _srot(self, parts, shift):
+    def _srot(self, x, shift):
+        """t^shift x t^-shift: the a/b indices of x move up by shift."""
         shift %= self.I
-        a, b, nonc, cc = parts
         if shift == 0:
-            return dict(a), dict(b), dict(nonc), dict(cc)
+            return x
+        a, b, nonc, cc, t = x
         ra = {(i + shift) % self.I: v for i, v in a.items()}
         rb = {(i + shift) % self.I: v for i, v in b.items()}
         rn: dict = {}
@@ -154,11 +138,11 @@ class FoldedQuotient:
                         continue
                     self._acc_terms(rn, rc, terms(j + shift,
                                                   (i + shift) % self.I, e * f))
-        return ra, rb, rn, rc
+        return ra, rb, rn, rc, t
 
     def _smul(self, x, y):
         xa, xb, xn, xc, xt = x
-        ra, rb, rn, rc = self._srot(y[:4], xt)
+        ra, rb, rn, rc, yt = self._srot(y, xt)
         a = dict(xa)
         for i, v in ra.items():
             self._acc_exp(a, i, v)
@@ -172,7 +156,7 @@ class FoldedQuotient:
         for k, v in rc.items():
             self._acc_c(cc, k, v)
         self._acc_terms(nonc, cc, _mul_correction(xa, xb, ra, rb).items())
-        return a, b, nonc, cc, (xt + y[4]) % self.I
+        return a, b, nonc, cc, (xt + yt) % self.I
 
     def _sinv(self, x):
         xa, xb, xn, xc, xt = x
@@ -188,59 +172,12 @@ class FoldedQuotient:
         m = self.m
         na = {i: v % m for i, v in na.items()}
         nb = {i: v % m for i, v in nb.items()}
-        ra, rb, rn, rc = self._srot((na, nb, dn, dc), -xt)
-        return ra, rb, rn, rc, (-xt) % self.I
-
-    def _spack(self, sparse):
-        a, b, nonc, cc, t = sparse
-        m = self.m
-        av = [0] * self.I
-        for i, v in a.items():
-            av[i] = v % m
-        bv = [0] * self.I
-        for i, v in b.items():
-            bv[i] = v % m
-        nv = [0] * len(self.nonc_keys)
-        for key, v in nonc.items():
-            nv[self._nonc_pos[key]] = v % m
-        cv = [0] * len(self.c_keys)
-        for k, v in cc.items():
-            cv[self._c_pos[("C", k)]] = v % self.c_mod[k]
-        return tuple(av), tuple(bv), tuple(nv), tuple(cv), t % self.I
-
-    def _sunpack(self, dense):
-        a = {i: v for i, v in enumerate(dense[0]) if v}
-        b = {i: v for i, v in enumerate(dense[1]) if v}
-        nonc = {self.nonc_keys[p]: v for p, v in enumerate(dense[2]) if v}
-        cc = {self.c_keys[p][1]: v for p, v in enumerate(dense[3]) if v}
-        return a, b, nonc, cc, dense[4]
-
-    # dense element API
-
-    def identity(self):
-        return self._spack(({}, {}, {}, {}, 0))
-
-    def from_parts(self, a=None, b=None, derived=None, t=0):
-        """Element from residue-indexed coordinate dicts (already folded)."""
-        nonc: dict = {}
-        cc: dict = {}
-        self._acc_terms(nonc, cc, (derived or {}).items())
-        return self._spack((dict(a or {}), dict(b or {}), nonc, cc, t))
-
-    def mul(self, x, y):
-        return self._spack(self._smul(self._sunpack(x), self._sunpack(y)))
-
-    def inv(self, x):
-        return self._spack(self._sinv(self._sunpack(x)))
-
-    def conj(self, x, g):
-        return self.mul(self.inv(g), self.mul(x, g))
-
-    def rotate(self, x, shift):
-        parts = self._sunpack(x)
-        return self._spack(self._srot(parts[:4], shift) + (parts[4],))
+        return self._srot((na, nb, dn, dc, -xt % self.I), -xt)
 
     def _simage(self, g: GElement):
+        """Image of a group element. Generator factors are pushed through
+        one at a time in ascending index order so the folded reordering
+        corrections are picked up exactly."""
         acc = ({}, {}, {}, {}, 0)
         h = g.d_part
         for i in sorted(h.a_part):
@@ -261,24 +198,52 @@ class FoldedQuotient:
             acc = self._smul(acc, ({}, {}, {}, {}, g.t_exp % self.I))
         return acc
 
-    def image(self, g: GElement):
-        """Image of a group element. Generator factors are pushed through
-        one at a time in ascending index order so the folded reordering
-        corrections are picked up exactly."""
-        return self._spack(self._simage(g))
+    # The helpers above call one another, never these public names, so a
+    # wrapper around a public method counts only calls made through it.
+    mul = _smul
+    inv = _sinv
+    rotate = _srot
+    image = _simage
+
+    def identity(self):
+        return {}, {}, {}, {}, 0
+
+    def from_parts(self, a=None, b=None, derived=None, t=0):
+        """Element from residue-indexed coordinate dicts (already folded)."""
+        m = self.m
+        nonc: dict = {}
+        cc: dict = {}
+        self._acc_terms(nonc, cc, (derived or {}).items())
+        return ({i: v % m for i, v in (a or {}).items() if v % m},
+                {i: v % m for i, v in (b or {}).items() if v % m},
+                nonc, cc, t % self.I)
+
+    def conj(self, x, g):
+        return self.mul(self.inv(g), self.mul(x, g))
 
     def image_is_trivial(self, g: GElement) -> bool:
         a, b, nonc, cc, t = self._simage(g)
-        return not a and not b and not nonc and not cc and t % self.I == 0
+        return not (a or b or nonc or cc or t)
 
     def elements(self):
-        cmods = [self.c_mod[key[1]] for key in self.c_keys]
-        for t in range(self.I):
-            for a in product(range(self.m), repeat=self.I):
-                for b in product(range(self.m), repeat=self.I):
-                    for nonc in product(range(self.m), repeat=len(self.nonc_keys)):
-                        for cc in product(*[range(mm) for mm in cmods]):
-                            yield (a, b, nonc, cc, t)
+        """Every element, in the lexicographic order of (t, a, b, nonc, c)
+        over the sorted full layout; the reference enumeration."""
+        I, m = self.I, self.m
+        pairs = [(i, j) for i in range(I) for j in range(i, I)]
+        basis = sorted([("AA", i, j) for i, j in pairs if i < j]
+                       + [("BB", i, j) for i, j in pairs if i < j]
+                       + [("AB", i, j) for i, j in pairs])
+        c_keys = [k for k, mod in self.c_mod.items() if mod != 1]
+        slots = ([(0, i) for i in range(I)] + [(1, i) for i in range(I)]
+                 + [(2, key) for key in basis] + [(3, k) for k in c_keys])
+        mods = [m] * (2 * I + len(basis)) + [self.c_mod[k] for k in c_keys]
+        for t in range(I):
+            for values in product(*map(range, mods)):
+                parts: tuple = ({}, {}, {}, {})
+                for (part, key), v in zip(slots, values):
+                    if v:
+                        parts[part][key] = v
+                yield parts + (t,)
 
 
 def _two_adic_valuation(n: int) -> int:
@@ -289,7 +254,6 @@ def _two_adic_valuation(n: int) -> int:
     return s
 
 
-@cache
 def _cycle_residues(I: int):
     """One full period of the residues 2^j mod I for j at and past the
     2-adic valuation of I, together with that valuation."""
@@ -303,33 +267,40 @@ def _cycle_residues(I: int):
     return s, tuple(out)
 
 
+def relator_folds(I: int, d):
+    """(k, js, tail) for each index k in 1..I//2 that a relator
+    c_{2^j}^{d(j)} folds onto, k ascending. Every d(j) with j in js must
+    be read. tail is the value d keeps on the infinitely many j of the
+    2^j cycle that fold onto k, 1 when d has no constant tail, and 0 when
+    only finitely many j fold onto k. Reads the metadata of d and makes no
+    query of it."""
+    s, cycle = _cycle_residues(I)
+    start, tail = d.eventual_constant or (0, 1)
+    js: dict = {}
+    tails: dict = {}
+    for j in range(s):
+        r = pow(2, j, I)
+        js.setdefault(min(r, I - r), []).append(j)
+    for off, r in enumerate(cycle):
+        k = min(r, I - r)
+        js.setdefault(k, []).extend(range(s + off, start, len(cycle)))
+        tails[k] = tail
+    for k in sorted(js):
+        if k:
+            yield k, tuple(js[k]), tails.get(k, 0)
+
+
 def c_bounds(I: int, d) -> tuple:
     """B(k) for k = 1..I//2: the gcd of the 2-torsion bound at k = I/2 and
     every d(j) whose relator folds onto k or I-k, with 0 where nothing
     folds. B does not depend on m; the largest legitimate modulus of the
     central index k in Q(I, m) is gcd(m, B(k))."""
-    bounds = [0] * (I // 2 + 1)  # bounds[k]; slot 0 is never read
+    bounds = [0] * (I // 2)  # bounds[k - 1]
     if I % 2 == 0:
-        bounds[I // 2] = 2
-    s, cycle = _cycle_residues(I)
-    r = 1 % I
-    for j in range(s):
-        k = min(r, I - r)
-        if k:
-            bounds[k] = math.gcd(bounds[k], d.value(j))
-        r = (r * 2) % I
-    for off, r in enumerate(cycle):
-        k = min(r, I - r)
-        if not k:
-            continue
-        if d.strictly_increasing_from is not None or d.eventual_constant is None:
-            bounds[k] = 1
-            continue
-        start, tail = d.eventual_constant
-        for j in range(s + off, start, len(cycle)):
-            bounds[k] = math.gcd(bounds[k], d.value(j))
-        bounds[k] = math.gcd(bounds[k], tail)
-    return tuple(bounds[1:])
+        bounds[-1] = 2
+    for k, js, tail in relator_folds(I, d):
+        bounds[k - 1] = math.gcd(bounds[k - 1], tail, *map(d.value, js))
+    return tuple(bounds)
 
 
 def required_c_modulus(I: int, k: int, m: int, d) -> int:
@@ -382,8 +353,7 @@ class FiniteQuotientSpec:
 
     @cached_property
     def _folded(self) -> FoldedQuotient:
-        return FoldedQuotient(self.index_modulus, self.exponent_modulus,
-                              dict(self.c_moduli))
+        return FoldedQuotient(self)
 
     def folded(self) -> FoldedQuotient:
         """The folded arithmetic of this quotient, built on first use and
@@ -426,12 +396,12 @@ def quotient_is_well_defined(spec: FiniteQuotientSpec, d) -> bool:
                                            c_bounds(spec.index_modulus, d)))
 
 
-def finite_conjugate(x, y, spec: FiniteQuotientSpec, cap: int = 4096) -> bool:
+def finite_conjugate(x, y, spec: FiniteQuotientSpec) -> bool:
     """Exhaustive conjugacy test, the reference for quotient_conjugate_exact;
-    refuses quotients larger than cap."""
+    refuses quotients larger than _ENUMERATION_CAP."""
     order = spec.order()
-    if order > cap:
-        raise ValueError(f"order {order} exceeds the cap {cap}")
+    if order > _ENUMERATION_CAP:
+        raise ValueError(f"order {order} exceeds the cap {_ENUMERATION_CAP}")
     if x == y:
         return True
     fq = spec.folded()
@@ -442,8 +412,9 @@ def finite_conjugate(x, y, spec: FiniteQuotientSpec, cap: int = 4096) -> bool:
 
 
 def _orbit_chain_solve(delta, s, I, m):
-    """Particular solution of h[(p-s) mod I] - h[p] = delta[p] (mod m)
-    plus one root per orbit, or None. delta is a length-I list."""
+    """Particular solution h of h[(p-s) mod I] - h[p] = delta[p] (mod m),
+    as a dict of its nonzero entries, plus one root per orbit, or None.
+    delta is a dict over residues, zero where absent."""
     h = [None] * I
     roots = []
     for start in range(I):
@@ -455,14 +426,15 @@ def _orbit_chain_solve(delta, s, I, m):
         val = 0
         while True:
             h[p] = val
-            total += delta[p]
-            val = (val + delta[p]) % m
+            step = delta.get(p, 0)
+            total += step
+            val = (val + step) % m
             p = (p - s) % I
             if p == start:
                 break
         if total % m != 0:
             return None
-    return h, roots
+    return {p: v for p, v in enumerate(h) if v}, roots
 
 
 def _orbit_members(root, s, I):
@@ -477,8 +449,9 @@ def _orbit_members(root, s, I):
 
 
 def _coords(fq, nonc, cc, terms):
-    """One coordinate dict, keyed like fq.nonc_keys and fq.c_keys, from
-    sparse parts plus (basis key, coefficient) terms folded into them."""
+    """One coordinate dict over the non-central keys and the central keys
+    ("C", k), from the nonc and c parts of an element plus (basis key,
+    coefficient) terms folded into them."""
     nonc, cc = dict(nonc), dict(cc)
     fq._acc_terms(nonc, cc, terms)
     nonc.update((("C", k), v) for k, v in cc.items())
@@ -524,16 +497,13 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     s = x[4]
     for n in range(I):
         xr = fq.rotate(x, -n)
-        delta_a = [(y[0][p] - xr[0][p]) % m for p in range(I)]
-        delta_b = [(y[1][p] - xr[1][p]) % m for p in range(I)]
-        solved_a = _orbit_chain_solve(delta_a, s, I, m)
-        solved_b = _orbit_chain_solve(delta_b, s, I, m)
+        solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
+        solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
         if solved_a is None or solved_b is None:
             continue
         h0a, roots_a = solved_a
         h0b, roots_b = solved_b
-        h0 = fq.from_parts(a={i: v for i, v in enumerate(h0a) if v},
-                           b={i: v for i, v in enumerate(h0b) if v})
+        h0 = fq.from_parts(a=h0a, b=h0b)
         mid = fq.conj(xr, h0)
         if mid[0] != y[0] or mid[1] != y[1]:
             raise AssertionError("abelianized stage lost synchronization")
@@ -549,6 +519,14 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
             raise AssertionError("derived stage produced a bad conjugator")
         return True
     return False
+
+
+def _minus(fq, y, x):
+    """y - x on one dict of exponents mod m."""
+    out = dict(y)
+    for key, v in x.items():
+        fq._acc_exp(out, key, -v)
+    return out
 
 
 def _qpow(fq, x, n):
@@ -583,29 +561,26 @@ def _derived_stage(fq, mid, y, s, roots_a, roots_b):
     for family, roots in (("a", roots_a), ("b", roots_b)):
         for root in roots:
             members = _orbit_members(root, s, I)
-            gen = fq.from_parts(**{family: {i: 1 for i in members}})
-            wa, wb, wn, wc, _ = fq._sunpack(fq.mul(fq.inv(gen),
-                                                   fq.rotate(gen, s)))
+            gen = fq.from_parts(**{family: dict.fromkeys(members, 1)})
+            wa, wb, wn, wc, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
             if wa or wb:
                 raise AssertionError("orbit generator rotation left the centre")
             if family == "a":
-                terms = (t for i in members for u in range(I)
-                         for t in aa_terms(u, i, ma[u]) + ab_terms(i, u, -mb[u]))
+                terms = [t for i in members for u, e in ma.items()
+                         for t in aa_terms(u, i, e)]
+                terms += [t for i in members for u, e in mb.items()
+                          for t in ab_terms(i, u, -e)]
             else:
-                terms = (t for i in members for u in range(I)
-                         for t in ab_terms(u, i, ma[u]) + bb_terms(u, i, mb[u]))
+                terms = [t for i in members for u, e in ma.items()
+                         for t in ab_terms(u, i, e)]
+                terms += [t for i in members for u, e in mb.items()
+                          for t in bb_terms(u, i, e)]
             orbit_gens.append(gen)
             kappa_cols.append(_coords(fq, wn, wc, terms))
 
-    rhs_keys: dict = {}
-    for pos, key in enumerate(fq.nonc_keys):
-        diff = (y[2][pos] - mid[2][pos]) % m
-        if diff:
-            rhs_keys[key] = diff
-    for pos, key in enumerate(fq.c_keys):
-        diff = (y[3][pos] - mid[3][pos]) % fq.c_mod[key[1]]
-        if diff:
-            rhs_keys[key] = diff
+    minus_mid = [(key, -v) for key, v in mid[2].items()]
+    minus_mid += [(("C", k), -v) for k, v in mid[3].items()]
+    rhs_keys = _coords(fq, y[2], y[3], minus_mid)
 
     seeds = set(rhs_keys)
     for col in kappa_cols:

@@ -50,7 +50,6 @@ class SearchBudget:
     max_conj_len: int = 4
     max_order: Optional[int] = None
     max_specs: int = 20000
-    m_cap: int = 8192
 
 
 @dataclass(frozen=True)
@@ -79,33 +78,35 @@ def _prime_powers(cap: int):
     return sorted(out)
 
 
-# d -> {m_cap: sorted specs}; an entry lives as long as its d object
+_M_CAP = 8192  # the largest exponent modulus on the ladder
+
+# d -> its sorted specs; an entry lives as long as its d object
 _STREAM_CACHE = weakref.WeakKeyDictionary()
 
 
 def spec_stream(d, budget: SearchBudget):
     """Finite quotient specs for this d, smallest first.
 
-    The full ladder-by-prime-power grid is built once per (d, m_cap) and
-    sorted by approximate log2 order (the float key only orders the walk;
-    all group arithmetic stays exact). Each I reads the c-moduli of every
-    m from one c_bounds(I, d) call. The cache is keyed by the d object,
-    not its descriptor, which in-memory majorants all share; each spec
-    keeps its own folded arithmetic once built, so that too lives as long
-    as d. max_order is applied exactly, with the float only used to skip
-    the comparison far from the boundary; max_specs truncates the tail.
+    The full grid of the index ladder by the prime powers up to _M_CAP is
+    built once per d and sorted by approximate log2 order (the float key
+    only orders the walk; all group arithmetic stays exact). Each I reads
+    the c-moduli of every m from one c_bounds(I, d) call. The cache is
+    keyed by the d object, not its descriptor, which in-memory majorants
+    all share; each spec keeps its own folded arithmetic once built, so
+    that too lives as long as d. max_order is applied exactly, with the
+    float only used to skip the comparison far from the boundary;
+    max_specs truncates the tail.
     """
-    by_cap = _STREAM_CACHE.setdefault(d, {})
-    specs = by_cap.get(budget.m_cap)
+    specs = _STREAM_CACHE.get(d)
     if specs is None:
-        ms = _prime_powers(budget.m_cap)
+        ms = _prime_powers(_M_CAP)
         specs = []
         for I in I_LADDER:
             bounds = c_bounds(I, d)
             specs.extend(spec_from_bounds(I, m, bounds) for m in ms)
         specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
                                   s.exponent_modulus))
-        by_cap[budget.m_cap] = specs
+        _STREAM_CACHE[d] = specs
     out = []
     for spec in specs:
         if budget.max_order is not None:

@@ -8,10 +8,9 @@ A separability function d answers two queries:
 Each query is metered: one step per trial-division probe and one step per
 interpreted register-machine instruction, nothing else. The contract is
 that at_least(n, m) stays within C * m**2 steps and value(n) within
-C * d(n)**2 steps, where C is budget_factor() (64 unless the
-CONJLAB_BUDGET_C environment variable overrides it). at_least must never
-compute d(n) when m is small; triviality tests for central coordinates
-rely on that to stay cheap when d is astronomically large.
+C * d(n)**2 steps, where C is DEFAULT_BUDGET_FACTOR (64). at_least must
+never compute d(n) when m is small; triviality tests for central
+coordinates rely on that to stay cheap when d is astronomically large.
 
 Step counters are created per invocation and never shared, so concurrent
 queries are safe; the one memoized implementation guards its cache with a
@@ -20,24 +19,12 @@ lock and only ever appends finished values.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Optional
 
 from .machine import Program, StepLimitExceeded, load_program
 
 DEFAULT_BUDGET_FACTOR = 64
-BUDGET_ENV = "CONJLAB_BUDGET_C"
-
-
-def budget_factor() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET_FACTOR
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV} must be positive")
-    return value
 
 
 class StepCounter:
@@ -83,13 +70,12 @@ class SeparabilityFunction:
     """Base interface; subclasses fill in the *_with_steps entry points.
 
     descriptor reproduces the function in the CLI's --d syntax.
-    strictly_increasing_from marks an index past which values never
-    repeat; eventual_constant = (start, p) marks a constant tail. Both
-    are optional metadata used by the quotient fold analysis.
+    eventual_constant = (start, p) marks a constant tail: d(n) = p for
+    every n >= start. It is optional metadata for the quotient fold
+    analysis, which treats a d without it as unbounded.
     """
 
     descriptor: str = "?"
-    strictly_increasing_from: Optional[int] = None
     eventual_constant: Optional[tuple] = None
 
     def value_with_steps(self, n: int):
@@ -156,7 +142,6 @@ class _TablePrimes(SeparabilityFunction):
 
 class _NthPrime(SeparabilityFunction):
     descriptor = "nth-prime"
-    strictly_increasing_from = 0
 
     def value_with_steps(self, n):
         _check_index(n)

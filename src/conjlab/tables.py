@@ -22,6 +22,8 @@ of q^3.
 
 from __future__ import annotations
 
+from .quotients import relator_folds
+
 MAX_TABLE_ORDER = 2048
 
 
@@ -226,12 +228,16 @@ def from_quotient_spec(spec) -> FiniteGroupTable:
     if order > MAX_TABLE_ORDER:
         raise ValueError(f"order {order} exceeds the cap {MAX_TABLE_ORDER}")
     fq = spec.folded()
+
+    def frozen(el):  # folded elements are dicts, which do not hash
+        return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
+
     elems = list(fq.elements())
-    index = {el: i for i, el in enumerate(elems)}
-    table = [[index[fq.mul(x, y)] for y in elems] for x in elems]
-    alpha = index[fq.from_parts(a={0: 1})]
-    beta = index[fq.from_parts(b={0: 1})]
-    tau = index[fq.from_parts(t=1 % fq.I)]
+    index = {frozen(el): i for i, el in enumerate(elems)}
+    table = [[index[frozen(fq.mul(x, y))] for y in elems] for x in elems]
+    alpha = index[frozen(fq.from_parts(a={0: 1}))]
+    beta = index[frozen(fq.from_parts(b={0: 1}))]
+    tau = index[frozen(fq.from_parts(t=1))]
     return FiniteGroupTable(table, alpha, beta, tau)
 
 
@@ -256,10 +262,13 @@ def hom_check(Q: FiniteGroupTable, d) -> bool:
       * each relator power gamma_{2^j mod n}^{d(j)} dies; since values of
         d are prime, gamma^{d(j)} = 1 means the order o of gamma is 1 or
         exactly d(j), and "d(j) == o" is decided through at_least within
-        its quadratic budget. Infinitely many j fold onto each residue of
-        the 2^j cycle; the tail is settled by the metadata of d, with a
-        metadata-free d treated as unbounded (true for program-backed
-        majorants), which forces o == 1 there.
+        its quadratic budget. Once gamma commutes with tau,
+        gamma_{n-k} = gamma_k^{-1}, so one order per folded index k
+        settles the relators relator_folds(n, d) lists for k. Infinitely
+        many j fold onto each residue of the 2^j cycle; the tail is
+        settled by the metadata of d, with a metadata-free d treated as
+        unbounded (true for program-backed majorants), which forces
+        o == 1 there.
 
     Cost is O(n^3) counted multiplications plus the at_least budgets,
     polynomial in |Q| with d touched only through its step-counted
@@ -293,31 +302,12 @@ def hom_check(Q: FiniteGroupTable, d) -> bool:
         if Q.commutator(gamma, tau) != e:
             return False
 
-    from .quotients import _cycle_residues
-
-    s, cycle = _cycle_residues(n)
-    r = 1 % n
-    for j in range(s):
-        o = Q.element_order(gammas[r])
-        if o != 1 and not _value_equals(d, j, o):
-            return False
-        r = (r * 2) % n
-    for off, r in enumerate(cycle):
-        if r == 0:
-            continue
-        o = Q.element_order(gammas[r])
+    for k, js, tail in relator_folds(n, d):
+        o = Q.element_order(gammas[k])
         if o == 1:
             continue
-        if d.strictly_increasing_from is not None:
+        if tail and tail != o:
             return False
-        if d.eventual_constant is None:
+        if not all(_value_equals(d, j, o) for j in js):
             return False
-        start, tail = d.eventual_constant
-        if tail != o:
-            return False
-        j = s + off
-        while j < start:
-            if not _value_equals(d, j, o):
-                return False
-            j += len(cycle)
     return True

@@ -3,6 +3,7 @@ orders, and agreement between exhaustive and algebraic conjugacy."""
 
 import math
 import random
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from conjlab.quotients import (
     make_spec,
     quotient_conjugate_exact,
     quotient_is_well_defined,
+    relator_folds,
     required_c_modulus,
 )
 from conjlab.search import SearchBudget, spec_stream
@@ -44,8 +46,13 @@ def load_d(d_spec):
 
 # moduli above every exponent used below, so the images show the index
 # folding alone; at k = I/2 the flip c_k = c_{-k} = c_k^{-1} forces 2-torsion
-FOLD2 = FoldedQuotient(2, 64, {1: 2})
-FOLD4 = FoldedQuotient(4, 64, {1: 64, 2: 2})
+FOLD2 = FiniteQuotientSpec(2, 64, ((1, 2),)).folded()
+FOLD4 = FiniteQuotientSpec(4, 64, ((1, 64), (2, 2))).folded()
+
+
+def frozen(el):
+    """A canonical hashable key of a folded element."""
+    return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
 
 
 def test_project_mod_i_frozen():
@@ -53,22 +60,21 @@ def test_project_mod_i_frozen():
         FOLD4.identity()[:4] + (3,)
 
     # c_3 folds onto c_1^{-1}, c_2 stays, c_4 folds onto c_0 = 1
-    assert FOLD4.image(parse_word("c[3]"))[3] == (63, 0)
-    assert FOLD4.image(parse_word("c[2]"))[3] == (0, 1)
+    assert FOLD4.image(parse_word("c[3]"))[3] == {1: 63}
+    assert FOLD4.image(parse_word("c[2]"))[3] == {2: 1}
     assert FOLD4.image(parse_word("c[4]")) == FOLD4.identity()
 
     assert FOLD2.image(parse_word("c[1]^2")) == FOLD2.identity()
-    assert FOLD2.image(parse_word("c[1]^3"))[3] == (1,)
-    assert FOLD4.image(parse_word("c[1]^9"))[3] == (9, 0)
+    assert FOLD2.image(parse_word("c[1]^3"))[3] == {1: 1}
+    assert FOLD4.image(parse_word("c[1]^9"))[3] == {1: 9}
 
 
 def test_project_mod_i_reorders_generators():
     # a_1 a_2 folds to indices 1, 0; restoring ascending order inside the
     # image costs a commutator, so plain coordinate folding would be wrong
     g = FOLD2.image(parse_word("a[1] a[2]"))
-    assert g[0] == (1, 1)
-    assert {k: v for k, v in zip(FOLD2.nonc_keys, g[2]) if v} == \
-        {("AA", 0, 1): 63}
+    assert g[0] == {0: 1, 1: 1}
+    assert g[2] == {("AA", 0, 1): 63}
 
 
 def test_fold_respects_multiplication():
@@ -122,7 +128,7 @@ def _relator_c_modulus(I, k, m, d):
     g = m
     if 2 * k == I:
         g = math.gcd(g, 2)
-    if d.strictly_increasing_from is None and d.eventual_constant is not None:
+    if d.eventual_constant is not None:
         start = d.eventual_constant[0]
         for j in range(start + pre + period):
             if pow(2, j, I) in targets:
@@ -134,6 +140,37 @@ def _relator_c_modulus(I, k, m, d):
     if any(pow(2, j, I) in targets for j in range(pre, pre + period)):
         g = 1
     return g
+
+
+class _Unqueried:
+    """A d whose queries raise: only its metadata may be read."""
+
+    def __init__(self, eventual_constant):
+        self.eventual_constant = eventual_constant
+
+    def value(self, n):
+        raise AssertionError("value queried")
+
+    def at_least(self, n, m):
+        raise AssertionError("at_least queried")
+
+
+def test_relator_folds_reads_metadata_only():
+    # I = 6: 2^0 = 1 is pre-periodic; the cycle 2, 4 folds onto k = 2,
+    # and k = 3 is reached by no relator
+    assert list(relator_folds(6, _Unqueried((3, 7)))) == \
+        [(1, (0,), 0), (2, (1, 2), 7)]
+    assert list(relator_folds(6, _Unqueried(None))) == \
+        [(1, (0,), 0), (2, (), 1)]
+    # I = 8: 1, 2, 4 are pre-periodic and the cycle is 2^3 = 0 mod 8
+    assert list(relator_folds(8, _Unqueried(None))) == \
+        [(1, (0,), 0), (2, (1,), 0), (4, (2,), 0)]
+    assert list(relator_folds(1, _Unqueried(None))) == []
+    for I in range(1, 65):
+        for meta in (None, (0, 2), (5, 31)):
+            assert [k for k, _, _ in relator_folds(I, _Unqueried(meta))] == \
+                sorted({min(pow(2, j, I), -pow(2, j, I) % I)
+                        for j in range(2 * I)} - {0})
 
 
 def test_c_moduli_match_relator_oracle():
@@ -182,10 +219,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FiniteQuotientSpec(4, 9, ((1, 9), (2, 3)))
     assert FiniteQuotientSpec(3, 2, ((1, 2),)).c_modulus(1) == 2
-    with pytest.raises(ValueError):
-        FoldedQuotient(0, 2, {})
-    with pytest.raises(ValueError):
-        FoldedQuotient(2, 1, {1: 2})
+    # folded arithmetic is built only from a spec, so the invalid
+    # modulus above can no longer reach it directly
+    with pytest.raises(TypeError):
+        FoldedQuotient(2, 2, {1: 3})
+    fq = FoldedQuotient(FiniteQuotientSpec(2, 2, ((1, 2),)))
+    assert fq.image(parse_word("c[1]")) == fq.image(parse_word("c[-1]"))
 
 
 def test_well_definedness_guards_images():
@@ -199,9 +238,35 @@ def test_well_definedness_guards_images():
 def test_folded_cache_identity():
     spec = make_spec(2, 2, D_TABLE)
     assert spec.folded() is spec.folded()
-    # the non-central key layout depends on I alone and is shared
-    assert make_spec(8, 2, D_TABLE).folded().nonc_keys is \
-        make_spec(8, 31, D_TABLE).folded().nonc_keys
+
+
+@pytest.mark.parametrize("spec", [make_spec(2, 2, D_TABLE),
+                                  make_spec(3, 3, constant_prime(3)),
+                                  make_spec(8, 31, D_TABLE)],
+                         ids=["Q(2,2)", "Q(3,3)", "Q(8,31)"])
+def test_operations_leave_arguments_unchanged(spec):
+    # elements are shared values: no operation may write into the dicts
+    # of an argument, even where it returns a part unchanged
+    fq = spec.folded()
+    rng = random.Random(spec.name())
+    for _ in range(6):
+        x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
+        g = fq.image(letters_to_g(random_letters(rng, max_len=5)))
+        y = fq.conj(x, g)
+        before = deepcopy((x, g, y))
+        fq.mul(x, g)
+        fq.inv(x)
+        fq.conj(x, g)
+        for shift in (0, 1, -1, spec.index_modulus):
+            fq.rotate(x, shift)
+        assert quotient_conjugate_exact(x, y, spec)
+        quotient_conjugate_exact(x, g, spec)
+        assert (x, g, y) == before
+    word = letters_to_g(random_letters(rng, max_len=6))
+    before = deepcopy(word)
+    fq.image(word)
+    fq.image_is_trivial(word)
+    assert word == before
 
 
 # ----------------------------------------------------------------- images
@@ -249,10 +314,19 @@ def test_image_from_parts_round_trip():
 
 
 def test_order_and_enumeration():
-    spec = make_spec(1, 2, D_TABLE)
-    fq = spec.folded()
-    elems = list(fq.elements())
-    assert len(elems) == len(set(elems)) == spec.order() == 8
+    # the enumeration yields exactly spec.order() distinct elements, each
+    # in reduced form: no zero and no unreduced coordinate is stored
+    for spec, order in ((make_spec(1, 2, D_TABLE), 8),
+                        (make_spec(1, 3, constant_prime(3)), 27),
+                        (make_spec(2, 2, D_TABLE), 2048)):
+        fq = spec.folded()
+        elems = list(fq.elements())
+        assert len(elems) == len({frozen(x) for x in elems}) == \
+            spec.order() == order
+        for a, b, nonc, cc, t in elems:
+            assert all(0 < v < fq.m for part in (a, b, nonc)
+                       for v in part.values())
+            assert all(0 < v < fq.c_mod[k] for k, v in cc.items())
 
 
 # -------------------------------------------------------- conjugacy in Q

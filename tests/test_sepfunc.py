@@ -7,10 +7,8 @@ import pytest
 
 from conjlab.machine import parse_program
 from conjlab.sepfunc import (
-    BUDGET_ENV,
     DEFAULT_BUDGET_FACTOR,
     StepCounter,
-    budget_factor,
     constant_prime,
     fast_majorant,
     from_table,
@@ -64,7 +62,6 @@ def test_constant_prime():
     assert not d.at_least(7, 32)
     assert d.descriptor == "constant:31"
     assert d.eventual_constant == (0, 31)
-    assert d.strictly_increasing_from is None
     with pytest.raises(ValueError):
         constant_prime(12)  # not prime
     with pytest.raises(ValueError):
@@ -88,7 +85,7 @@ def test_from_table():
 def test_nth_prime_values():
     d = nth_prime()
     assert [d.value(n) for n in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert d.strictly_increasing_from == 0
+    assert d.eventual_constant is None  # unbounded, so no constant tail
     for n in range(8):
         p = d.value(n)
         for m in (2, p - 1, p, p + 1, 2 * p):
@@ -104,15 +101,6 @@ def test_nth_prime_step_contract():
         for m in (2, 10, p, p + 1, 50):
             _, steps = d.at_least_with_steps(n, m)
             assert steps <= C * m * m
-
-
-def test_budget_factor_override(monkeypatch):
-    assert budget_factor() == DEFAULT_BUDGET_FACTOR
-    monkeypatch.setenv(BUDGET_ENV, "7")
-    assert budget_factor() == 7
-    monkeypatch.setenv(BUDGET_ENV, "0")
-    with pytest.raises(ValueError):
-        budget_factor()
 
 
 # -------------------------------------------------------------- fast majorant
