@@ -482,8 +482,9 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     """Conjugacy decision inside the quotient, polynomial in I and the
     coordinate support instead of the group order.
 
-    For each t-power of the conjugator the abelianized twisted equation
-    is solved orbit by orbit; its kernel (one constant per orbit) and the
+    For each t-power of the conjugator below gcd(s, I), s the common
+    t-exponent, the abelianized twisted equation is solved orbit by
+    orbit; its kernel (one constant per orbit) and the
     conjugator's derived coordinates then enter one integer linear system
     over the rotation closure of the relevant derived coordinates, with
     per-row modulus slack.
@@ -495,7 +496,9 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     if x[4] != y[4]:
         return False
     s = x[4]
-    for n in range(I):
+    # x centralises itself, so g and x g conjugate x alike, and their
+    # t-powers differ by s: the t-powers mod gcd(s, I) cover every class
+    for n in range(math.gcd(s, I)):
         xr = fq.rotate(x, -n)
         solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
         solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)

@@ -7,6 +7,21 @@ the search interleaves the two enumerations: conjugator words by length,
 and finite quotients walked in order of (approximate) size from a ladder
 of index moduli crossed with prime power exponent moduli.
 
+The words of one length are walked as a tree over the letters tabTAB,
+depth first in the order of itertools.product, so at most one conjugate
+per depth is alive. Each conjugate comes from its parent's: if
+c_w = w^-1 g1 w then c_wx = x^-1 c_w x, two multiplications by a letter
+and its inverse, with no word text parsed. Two exact prunings keep the
+walk's result and counts those of the plain enumeration:
+
+* a word with a cancelling pair (tT, Tt, aA, Aa, bB, Bb) equals a word
+  two letters shorter, which an earlier phase already tested without a
+  hit, so its subtree is counted but not built;
+* the relators only touch central C coordinates, so a conjugate equal
+  to g2 has g2's t-exponent and g2's a- and b-parts. Conjugation keeps
+  the t-exponent, so a mismatch there fails a whole phase at once;
+  otherwise the full g_equal runs only when the a- and b-parts agree.
+
 The quotient walk prunes hard: a quotient can only separate the pair if
 it separates z = g1 * g2^-1 from the identity whenever the pair is a
 central translate, and more generally equal images can never separate,
@@ -21,7 +36,6 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from itertools import product
 from math import log2
 from typing import Optional
 
@@ -30,7 +44,6 @@ from .extension import (
     GElement,
     c_witness_word,
     g_equal,
-    g_conj,
     g_inv,
     g_mul,
     parse_word,
@@ -59,6 +72,9 @@ class McKinseyOutcome:
     witness_spec: Optional[FiniteQuotientSpec] = None
     witness_order: Optional[int] = None
     quotients_tested: int = 0
+    # position of the last word reached in the full product order of
+    # the phases walked, words skipped by the cancelling-pair pruning
+    # included: a hit's position, or the sum of 6**L over those phases
     conjugators_tested: int = 0
 
 
@@ -94,8 +110,9 @@ def spec_stream(d, budget: SearchBudget):
     keyed by the d object, not its descriptor, which in-memory majorants
     all share; each spec keeps its own folded arithmetic once built, so
     that too lives as long as d. max_order is applied exactly, with the
-    float only used to skip the comparison far from the boundary;
-    max_specs truncates the tail.
+    float only used to skip the comparison far from the boundary and to
+    stop the walk past it; max_specs truncates the tail. The result is a
+    fresh list, never the cache itself.
     """
     specs = _STREAM_CACHE.get(d)
     if specs is None:
@@ -107,32 +124,87 @@ def spec_stream(d, budget: SearchBudget):
         specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
                                   s.exponent_modulus))
         _STREAM_CACHE[d] = specs
+    if budget.max_order is None:
+        return specs[:budget.max_specs]
+    bound = log2(budget.max_order)
     out = []
     for spec in specs:
-        if budget.max_order is not None:
-            approx = spec.log2_order()
-            bound = log2(budget.max_order)
-            if approx > bound + 1:
-                continue
-            if approx > bound - 1 and spec.order() > budget.max_order:
-                continue
+        approx = spec.log2_order()
+        if approx > bound + 1:
+            break  # the ladder is sorted by approx
+        if approx > bound - 1 and spec.order() > budget.max_order:
+            continue
         out.append(spec)
         if len(out) >= budget.max_specs:
             break
     return out
 
 
-def _word_batch(length: int):
+_LETTERS = "tabTAB"
+# per letter x: (x^-1, x) as elements, and the index of x^-1 in _LETTERS
+_STEPS = tuple((g_inv(x), x) for x in map(parse_word, _LETTERS))
+_CANCELS = tuple(_LETTERS.index(x.swapcase()) for x in _LETTERS)
+
+
+def _equal_same_t(c: GElement, g2: GElement, d) -> bool:
+    """g_equal(c, g2, d) for elements of equal t-exponent, with the a-
+    and b-parts, which the relators never touch, compared first."""
+    return (c.d_part.a_part == g2.d_part.a_part
+            and c.d_part.b_part == g2.d_part.b_part and g_equal(c, g2, d))
+
+
+def _word_phase(g1: GElement, g2: GElement, d, length: int):
+    """The first word of this length, in the order of
+    product(_LETTERS, repeat=length), that conjugates g1 to g2, with its
+    1-based position in that order; (None, 6**length) when none does.
+
+    Depth-first from a prefix stack: conj[k] is g1 conjugated by the
+    first k letters of path. Conjugation keeps the t-exponent, so a
+    mismatch settles every word at once. Words with a cancelling pair
+    are counted but not built (see the module docstring); the caller
+    only reaches this length after every shorter one failed.
+    """
+    n = len(_LETTERS)
+    if g1.t_exp != g2.t_exp:
+        return None, n ** length
     if length == 0:
-        yield ""
-        return
-    for letters in product("tabTAB", repeat=length):
-        yield " ".join(letters)
+        return ("" if _equal_same_t(g1, g2, d) else None), 1
+    path, conj = [], [g1]
+    reached = 0
+    i = 0
+    while True:
+        if i == n:
+            if not path:
+                return None, reached
+            conj.pop()
+            i = path.pop() + 1
+            continue
+        if path and i == _CANCELS[path[-1]]:
+            reached += n ** (length - len(path) - 1)
+            i += 1
+            continue
+        inv_x, x = _STEPS[i]
+        c = g_mul(g_mul(inv_x, conj[-1]), x)
+        if len(path) + 1 < length:
+            path.append(i)
+            conj.append(c)
+            i = 0
+            continue
+        reached += 1
+        if _equal_same_t(c, g2, d):
+            return " ".join(_LETTERS[j] for j in path + [i]), reached
+        i += 1
 
 
 def mckinsey_search(g1: GElement, g2: GElement, d,
                     budget: SearchBudget = SearchBudget()) -> McKinseyOutcome:
-    """Interleave conjugator-word search with finite-quotient separation."""
+    """Interleave conjugator-word search with finite-quotient separation.
+
+    Phase L walks the words of length L as a tree (see _word_phase), then
+    the next _CHUNK specs are tried, until both walks run out. The first
+    conjugating word and the first separating quotient are exact
+    witnesses, whichever comes first is returned.
+    """
     z = g_mul(g1, g_inv(g2))
     specs = spec_stream(d, budget)
     spec_pos = 0
@@ -141,13 +213,12 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
     length = 0
     while length <= budget.max_conj_len or spec_pos < len(specs):
         if length <= budget.max_conj_len:
-            for word in _word_batch(length):
-                words_done += 1
-                w = parse_word(word)
-                if g_equal(g_conj(g1, w), g2, d):
-                    return McKinseyOutcome("conjugate", conjugator_word=word,
-                                           quotients_tested=quotients,
-                                           conjugators_tested=words_done)
+            word, reached = _word_phase(g1, g2, d, length)
+            words_done += reached
+            if word is not None:
+                return McKinseyOutcome("conjugate", conjugator_word=word,
+                                       quotients_tested=quotients,
+                                       conjugators_tested=words_done)
             length += 1
         for spec in specs[spec_pos:spec_pos + _CHUNK]:
             quotients += 1

@@ -100,15 +100,55 @@ def test_mckinsey_conjugate(capsys):
     assert payload["config"]["max-conj-len"] == 4
 
 
+MCKINSEY_CONFIG = ("command=mckinsey d=table:2,31,127,1021,8191 "
+                   "format={} max-conj-len=4 max-specs=20000")
+
+
+def mckinsey_payload(verdict, word, spec, order, quotients, conjugators):
+    return {"config": {"command": "mckinsey", "d": DEFAULT_D,
+                       "format": "json", "max-conj-len": 4,
+                       "max-specs": 20000},
+            "verdict": verdict, "conjugator_word": word,
+            "witness_spec": spec, "witness_order": order,
+            "quotients_tested": quotients, "conjugators_tested": conjugators}
+
+
 def test_mckinsey_non_conjugate(capsys):
+    # the README example, pinned line for line
+    code, out, _ = run(capsys, "mckinsey", "a[0]", "a[0] c[1]")
+    assert code == 1
+    assert out == (f"config: {MCKINSEY_CONFIG.format('text')}\n"
+                   "verdict: non-conjugate\n"
+                   "witness quotient: Q(I=2,m=2) of order 2048\n"
+                   "quotients tested: 9\n"
+                   "conjugators tested: 1\n")
     code, out, _ = run(capsys, "mckinsey", "a[0]", "a[0] c[1]",
                        "--format", "json")
     assert code == 1
-    payload = json.loads(out)
-    assert payload["verdict"] == "non-conjugate"
-    assert payload["witness_spec"] == "Q(I=2,m=2)"
-    assert payload["witness_order"] == 2048
-    assert payload["quotients_tested"] >= 1
+    assert json.loads(out) == mckinsey_payload(
+        "non-conjugate", None, "Q(I=2,m=2)", 2048, 9, 1)
+
+
+# a[0] b[1] conjugated by "b T a"; the walk passes skipped words with a
+# cancelling pair (t T ..., a A ...) before it reaches the hit
+LENGTH_3_CONJUGATE = (
+    "a[1] b[2] a[0] a[1]^-1 a[0]^-1 a[1] a[0] b[2]^-1 a[0]^-1 b[2] "
+    "a[1] b[1] a[1]^-1 b[1]^-1 b[1] b[2]^-1 b[1]^-1 b[2]")
+
+
+def test_mckinsey_conjugate_at_length_3(capsys):
+    code, out, _ = run(capsys, "mckinsey", "a[0] b[1]", LENGTH_3_CONJUGATE)
+    assert code == 0
+    assert out == (f"config: {MCKINSEY_CONFIG.format('text')}\n"
+                   "verdict: conjugate\n"
+                   "conjugator: 'b T a'\n"
+                   "quotients tested: 48\n"
+                   "conjugators tested: 135\n")
+    code, out, _ = run(capsys, "mckinsey", "a[0] b[1]", LENGTH_3_CONJUGATE,
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == mckinsey_payload(
+        "conjugate", "b T a", None, None, 48, 135)
 
 
 def test_mckinsey_budget_exhausted(capsys):

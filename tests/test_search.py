@@ -2,13 +2,15 @@
 
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from conftest import letters_to_g, random_letters
 
 from conjlab.conjugacy import conjugacy_decide
+from conjlab import search
 from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
-    parse_word
+    g_t, parse_word
 from conjlab.machine import parse_program
 from conjlab.nilpotent import central_c, d_mul, generator_a
 from conjlab.quotients import make_spec, quotient_is_well_defined, \
@@ -62,6 +64,33 @@ def test_spec_stream_max_order_is_exact():
 
 def test_spec_stream_max_specs():
     assert len(spec_stream(D_TABLE, SearchBudget(max_specs=7))) == 7
+
+
+def filtered_walk(ladder, budget):
+    """The spec-by-spec walk of the sorted ladder, exact order test."""
+    out = []
+    for spec in ladder:
+        if budget.max_order is None or spec.order() <= budget.max_order:
+            out.append(spec)
+            if len(out) >= budget.max_specs:
+                break
+    return out
+
+
+@pytest.mark.parametrize("budget", [
+    SearchBudget(), SearchBudget(max_specs=300),
+    SearchBudget(max_order=10 ** 6), SearchBudget(max_order=2 ** 600),
+    SearchBudget(max_order=2 ** 600, max_specs=40)])
+def test_spec_stream_matches_filtered_walk(budget):
+    ladder = spec_stream(D_TABLE, SearchBudget(max_specs=10 ** 9))
+    assert len(ladder) == len(I_LADDER) * len(prime_powers_up_to(8192))
+    expected = filtered_walk(ladder, budget)
+    out = spec_stream(D_TABLE, budget)
+    assert out == expected
+    # the result is the caller's own list, not a view of the cache
+    out.reverse()
+    out.append(None)
+    assert spec_stream(D_TABLE, budget) == expected
 
 
 # --------------------------------------------------------------- mckinsey
@@ -168,6 +197,74 @@ def test_mckinsey_agrees_with_decision():
         w = parse_word(out.conjugator_word)
         assert g_equal(g_conj(g1, w), g2, D_TABLE)
         assert conjugacy_decide(g1, g2, D_TABLE).is_conjugate
+
+
+def reference_word_phase(g1, g2, d, length):
+    """Every word of one length in product order, parsed and conjugated
+    from scratch: the first hit and its position, or (None, 6**length)."""
+    for pos, letters in enumerate(product("tabTAB", repeat=length), 1):
+        word = " ".join(letters)
+        if g_equal(g_conj(g1, parse_word(word)), g2, d):
+            return word, pos
+    return None, 6 ** length
+
+
+def word_phase_pool(seed):
+    rng = random.Random(seed)
+    pool = []
+    for twist in (0, 0, 1, -2):
+        g1 = g_mul(letters_to_g(random_letters(
+            rng, max_len=4, idx_range=(-2, 2), exp_range=(-2, 2),
+            families="ab")), g_t(twist))
+        rand = " ".join(rng.choice("tabTAB")
+                        for _ in range(rng.randrange(1, 4)))
+        for word in ("t T a", "a A b", "b B", "T t A", "b T a", rand):
+            pool.append((g1, g_conj(g1, parse_word(word))))
+        pool.append((g1, g_mul(g1, g_t(1))))
+        pool.append((g1, g_mul(g_conj(g1, parse_word(rand)),
+                               parse_word("a[1]"))))
+        pool.append((g1, g_mul(g1, parse_word("c[1]"))))
+        pool.append((g1, g_mul(g_conj(g1, parse_word("a t")),
+                               parse_word("c[2]^-1"))))
+    return pool
+
+
+@pytest.mark.parametrize("d", [D_TABLE, constant_prime(3)],
+                         ids=["default", "constant:3"])
+def test_word_tree_matches_reference_walk(d, monkeypatch):
+    pool = word_phase_pool(2026)
+    outcomes = {}
+    for walk in ("tree", "reference"):
+        if walk == "reference":
+            monkeypatch.setattr(search, "_word_phase", reference_word_phase)
+        for n, (g1, g2) in enumerate(pool):
+            for length in range(4):
+                budget = SearchBudget(max_conj_len=length, max_specs=24)
+                out = mckinsey_search(g1, g2, d, budget)
+                outcomes.setdefault((n, length), []).append(
+                    (out.verdict, out.conjugator_word, out.conjugators_tested,
+                     out.quotients_tested))
+    for key, (tree, reference) in outcomes.items():
+        assert tree == reference, key
+    verdicts = {v[0][0] for v in outcomes.values()}
+    assert verdicts == {"conjugate", "non-conjugate", "budget-exhausted"}
+    # some hits lie past skipped words with a cancelling pair
+    assert any(v[0][1] == "b T a" for v in outcomes.values())
+
+
+def test_word_phase_memory_is_per_depth():
+    # a non-conjugate pair walks the whole phase; a breadth-first layer
+    # of its 1296 words would hold hundreds of kilobytes of conjugates
+    g1 = parse_word("a[0] b[1] a[2]^-1 b[-1]^2")
+    g2 = parse_word("a[0] b[1] a[2]^-1 b[-1]^2 c[1]")
+    tracemalloc.start()
+    try:
+        out = search._word_phase(g1, g2, D_TABLE, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == (None, 6 ** 4)
+    assert peak < 32 * 2 ** 10
 
 
 # ------------------------------------------------------- witness growth
