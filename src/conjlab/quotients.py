@@ -484,10 +484,10 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
 
     For each t-power of the conjugator below gcd(s, I), s the common
     t-exponent, the abelianized twisted equation is solved orbit by
-    orbit; its kernel (one constant per orbit) and the
-    conjugator's derived coordinates then enter one integer linear system
-    over the rotation closure of the relevant derived coordinates, with
-    per-row modulus slack.
+    orbit; its kernel (one constant per orbit) and the conjugator's
+    derived coordinates then enter one integer linear system over the
+    rotation closure of the relevant derived coordinates, with per-row
+    modulus slack.
     """
     fq = spec.folded()
     I, m = spec.index_modulus, spec.exponent_modulus

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 from conftest import letters_to_g, random_letters
 
-from conjlab.conjugacy import conjugacy_decide
 from conjlab import search
+from conjlab.conjugacy import conjugacy_decide
 from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
     g_t, parse_word
 from conjlab.machine import parse_program
