@@ -6,13 +6,10 @@ multiplication tables, and interleaved witness search."""
 from .nilpotent import (
     DElement,
     central_c,
-    d_commutator,
     d_element,
-    d_equal,
     d_identity,
     d_inv,
     d_mul,
-    d_pow,
     generator_a,
     generator_b,
     is_identity_d,
@@ -24,13 +21,11 @@ from .extension import (
     GElement,
     WordParseError,
     c_witness_word,
-    g_commutator,
     g_conj,
     g_equal,
     g_identity,
     g_inv,
     g_mul,
-    g_pow,
     g_t,
     is_identity_g,
     parse_word,
@@ -67,8 +62,8 @@ from .sepfunc import (
     nth_prime,
     parse_d_spec,
 )
-from .tables import FiniteGroupTable, format_table, from_permutations, \
-    from_quotient_spec, hom_check, load_table, parse_table
+from .tables import FiniteGroupTable, from_permutations, hom_check, \
+    load_table, parse_table
 from .search import (
     GrowthRow,
     I_LADDER,

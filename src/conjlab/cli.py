@@ -63,11 +63,10 @@ class RunConfig:
     max_specs: Optional[int] = None
     max_order: Optional[int] = None
     i_max: Optional[int] = None
-    seed: Optional[int] = None
 
     def items(self):
         out = {"command": self.command, "d": self.d, "format": self.fmt}
-        for key in ("max_conj_len", "max_specs", "max_order", "i_max", "seed"):
+        for key in ("max_conj_len", "max_specs", "max_order", "i_max"):
             v = getattr(self, key)
             if v is not None:
                 out[key.replace("_", "-")] = v

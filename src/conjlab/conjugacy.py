@@ -25,10 +25,8 @@ from typing import Optional
 from .extension import GElement, g_conj, g_identity, g_inv, g_mul, g_t
 from .nilpotent import (
     DElement,
-    aa_terms,
-    ab_terms,
-    ba_terms,
-    bb_terms,
+    _acc,
+    _mul_correction,
     d_element,
     d_identity,
     d_inv,
@@ -135,26 +133,21 @@ def hnf_solve(system: IntegerLinearSystem) -> Optional[tuple]:
     return x
 
 
-def _mirror_chain(delta: dict, step: int) -> Optional[dict]:
-    sol = _solve_chain({-p: v for p, v in delta.items()}, -step)
-    if sol is None:
-        return None
-    return {-p: v for p, v in sol.items()}
-
-
 def _solve_chain(delta: dict, step: int) -> Optional[dict]:
     """The finitely supported h with h[p] - h[p - step] = delta[p], or
     None. Solutions are unique when they exist: the homogeneous equation
-    forces h constant along each chain, and finite support kills it."""
-    if step < 0:
-        return _mirror_chain(delta, step)
+    forces h constant along each chain, and finite support kills it.
+
+    h[q] sums delta over q's residue class up to and including q, walking
+    the class in the direction of step: upward when step is positive,
+    downward when it is negative."""
     out: dict = {}
     classes: dict = {}
     for p, v in delta.items():
         if v:
             classes.setdefault(p % step, []).append(p)
     for ps in classes.values():
-        ps.sort()
+        ps.sort(reverse=step < 0)
         if sum(delta[p] for p in ps) != 0:
             return None
         run = 0
@@ -205,28 +198,13 @@ def solve_twisted_derived(delta: dict, n_t: int) -> Optional[dict]:
 
 def commutator_bilinear(eta_a: dict, eta_b: dict, xi_a: dict, xi_b: dict) -> dict:
     """Derived coordinates of the commutator of elements with the given
-    abelianizations, exact including central terms."""
-    out: dict = {}
+    abelianizations, exact including central terms.
 
-    def acc(terms):
-        for key, v in terms:
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-
-    for i, e in eta_a.items():
-        for j, f in xi_a.items():
-            acc(aa_terms(i, j, e * f))
-        for j, f in xi_b.items():
-            acc(ab_terms(i, j, e * f))
-    for i, e in eta_b.items():
-        for j, f in xi_a.items():
-            acc(ba_terms(i, j, e * f))
-        for j, f in xi_b.items():
-            acc(bb_terms(i, j, e * f))
-    return out
+    [x, y] = (xy)(yx)^{-1}, and xy, yx share their abelianization, so the
+    commutator is the difference of the two collection corrections."""
+    out = _mul_correction(eta_a, eta_b, xi_a, xi_b)
+    return _acc(out, ((key, -v) for key, v in
+                      _mul_correction(xi_a, xi_b, eta_a, eta_b).items()))
 
 
 def _merge_congruence(state, a, c, modulus):

@@ -55,27 +55,9 @@ def g_inv(x: GElement) -> GElement:
     return GElement(phi_shift(d_inv(x.d_part), -x.t_exp), -x.t_exp)
 
 
-def g_pow(x: GElement, n: int) -> GElement:
-    if n < 0:
-        return g_pow(g_inv(x), -n)
-    acc = g_identity()
-    base = x
-    while n:
-        if n & 1:
-            acc = g_mul(acc, base)
-        n >>= 1
-        if n:
-            base = g_mul(base, base)
-    return acc
-
-
 def g_conj(x: GElement, by: GElement) -> GElement:
     """by^{-1} x by."""
     return g_mul(g_mul(g_inv(by), x), by)
-
-
-def g_commutator(x: GElement, y: GElement) -> GElement:
-    return g_mul(g_mul(g_mul(x, y), g_inv(x)), g_inv(y))
 
 
 def is_identity_g(x: GElement, d) -> bool:

@@ -23,7 +23,8 @@ All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction; every operation returns a fresh element. Because d(j)
 may be astronomically large, a C coordinate is only compared with d(j) when
 d(j) is known to be small enough to reach it (is_identity_d). Plain == on
-elements is raw coordinate identity, not group equality; use d_equal.
+elements is raw coordinate identity, not group equality: test equality in
+G with extension.g_equal, or triviality of x^{-1} y with is_identity_d.
 """
 
 from __future__ import annotations
@@ -191,25 +192,6 @@ def d_inv(x: DElement) -> DElement:
     return DElement(na, nb, der)
 
 
-def d_pow(x: DElement, n: int) -> DElement:
-    if n < 0:
-        return d_pow(d_inv(x), -n)
-    acc = d_identity()
-    base = x
-    while n:
-        if n & 1:
-            acc = d_mul(acc, base)
-        n >>= 1
-        if n:
-            base = d_mul(base, base)
-    return acc
-
-
-def d_commutator(x: DElement, y: DElement) -> DElement:
-    """x y x^{-1} y^{-1}; always lies in the derived subgroup."""
-    return d_mul(d_mul(d_mul(x, y), d_inv(x)), d_inv(y))
-
-
 def phi_shift(x: DElement, n: int) -> DElement:
     """The shift automorphism: indices of a, b move by n, c_k is fixed."""
     if n == 0:
@@ -262,6 +244,3 @@ def is_identity_d(x: DElement, d) -> bool:
             return False
     return True
 
-
-def d_equal(x: DElement, y: DElement, d) -> bool:
-    return is_identity_d(d_mul(d_inv(x), y), d)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .conjugacy import IntegerLinearSystem, hnf_solve
+from .conjugacy import IntegerLinearSystem, commutator_bilinear, hnf_solve
 from .extension import GElement
 from .nilpotent import _mul_correction, aa_terms, ab_terms, bb_terms
 
@@ -413,18 +413,20 @@ def finite_conjugate(x, y, spec: FiniteQuotientSpec) -> bool:
 
 def _orbit_chain_solve(delta, s, I, m):
     """Particular solution h of h[(p-s) mod I] - h[p] = delta[p] (mod m),
-    as a dict of its nonzero entries, plus one root per orbit, or None.
-    delta is a dict over residues, zero where absent."""
+    as a dict of its nonzero entries, plus the orbits of p -> p - s on
+    0..I-1 as lists of residues, or None. delta is a dict over residues,
+    zero where absent."""
     h = [None] * I
-    roots = []
+    orbits = []
     for start in range(I):
         if h[start] is not None:
             continue
-        roots.append(start)
+        orbit = []
         total = 0
         p = start
         val = 0
         while True:
+            orbit.append(p)
             h[p] = val
             step = delta.get(p, 0)
             total += step
@@ -434,18 +436,8 @@ def _orbit_chain_solve(delta, s, I, m):
                 break
         if total % m != 0:
             return None
-    return {p: v for p, v in enumerate(h) if v}, roots
-
-
-def _orbit_members(root, s, I):
-    members = []
-    p = root
-    while True:
-        members.append(p)
-        p = (p - s) % I
-        if p == root:
-            break
-    return members
+        orbits.append(orbit)
+    return {p: v for p, v in enumerate(h) if v}, orbits
 
 
 def _coords(fq, nonc, cc, terms):
@@ -504,13 +496,13 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
         solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
         if solved_a is None or solved_b is None:
             continue
-        h0a, roots_a = solved_a
-        h0b, roots_b = solved_b
+        h0a, orbits_a = solved_a
+        h0b, orbits_b = solved_b
         h0 = fq.from_parts(a=h0a, b=h0b)
         mid = fq.conj(xr, h0)
         if mid[0] != y[0] or mid[1] != y[1]:
             raise AssertionError("abelianized stage lost synchronization")
-        rest = _derived_stage(fq, mid, y, s, roots_a, roots_b)
+        rest = _derived_stage(fq, mid, y, s, orbits_a, orbits_b)
         if rest is None:
             continue
         kappa, delta_der = rest
@@ -543,7 +535,7 @@ def _qpow(fq, x, n):
     return acc
 
 
-def _derived_stage(fq, mid, y, s, roots_a, roots_b):
+def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     """Match the derived coordinates of mid to y by a rotation-invariant
     abelian conjugator plus a derived conjugator part.
 
@@ -561,23 +553,15 @@ def _derived_stage(fq, mid, y, s, roots_a, roots_b):
     ma, mb = mid[0], mid[1]
     kappa_cols = []
     orbit_gens = []
-    for family, roots in (("a", roots_a), ("b", roots_b)):
-        for root in roots:
-            members = _orbit_members(root, s, I)
-            gen = fq.from_parts(**{family: dict.fromkeys(members, 1)})
+    for family, orbits in (("a", orbits_a), ("b", orbits_b)):
+        for orbit in orbits:
+            ones = dict.fromkeys(orbit, 1)
+            xi_a, xi_b = (ones, {}) if family == "a" else ({}, ones)
+            gen = fq.from_parts(a=xi_a, b=xi_b)
             wa, wb, wn, wc, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
             if wa or wb:
                 raise AssertionError("orbit generator rotation left the centre")
-            if family == "a":
-                terms = [t for i in members for u, e in ma.items()
-                         for t in aa_terms(u, i, e)]
-                terms += [t for i in members for u, e in mb.items()
-                          for t in ab_terms(i, u, -e)]
-            else:
-                terms = [t for i in members for u, e in ma.items()
-                         for t in ab_terms(u, i, e)]
-                terms += [t for i in members for u, e in mb.items()
-                          for t in bb_terms(u, i, e)]
+            terms = commutator_bilinear(ma, mb, xi_a, xi_b).items()
             orbit_gens.append(gen)
             kappa_cols.append(_coords(fq, wn, wc, terms))
 

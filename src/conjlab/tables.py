@@ -124,9 +124,6 @@ class FiniteGroupTable:
             n += 1
         return n
 
-    def reset_mult_count(self):
-        self.mult_count = 0
-
 
 def parse_table(text: str) -> FiniteGroupTable:
     tokens = []
@@ -166,15 +163,6 @@ def parse_table(text: str) -> FiniteGroupTable:
     if missing:
         raise ValueError(f"missing marked elements: {', '.join(sorted(missing))}")
     return FiniteGroupTable(table, marks["alpha"], marks["beta"], marks["tau"])
-
-
-def format_table(Q: FiniteGroupTable) -> str:
-    lines = [f"order {Q.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in Q.table)
-    lines.append(f"alpha {Q.alpha}")
-    lines.append(f"beta {Q.beta}")
-    lines.append(f"tau {Q.tau}")
-    return "\n".join(lines) + "\n"
 
 
 def load_table(path) -> FiniteGroupTable:
@@ -219,26 +207,6 @@ def from_permutations(alpha, beta, tau) -> FiniteGroupTable:
     table = [[index[_compose(x, y)] for y in elems] for x in elems]
     return FiniteGroupTable(table, index[tuple(alpha)], index[tuple(beta)],
                             index[tuple(tau)])
-
-
-def from_quotient_spec(spec) -> FiniteGroupTable:
-    """Multiplication table of a finite quotient, marking the images of
-    a_0, b_0, and t."""
-    order = spec.order()
-    if order > MAX_TABLE_ORDER:
-        raise ValueError(f"order {order} exceeds the cap {MAX_TABLE_ORDER}")
-    fq = spec.folded()
-
-    def frozen(el):  # folded elements are dicts, which do not hash
-        return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
-
-    elems = list(fq.elements())
-    index = {frozen(el): i for i, el in enumerate(elems)}
-    table = [[index[frozen(fq.mul(x, y))] for y in elems] for x in elems]
-    alpha = index[frozen(fq.from_parts(a={0: 1}))]
-    beta = index[frozen(fq.from_parts(b={0: 1}))]
-    tau = index[frozen(fq.from_parts(t=1))]
-    return FiniteGroupTable(table, alpha, beta, tau)
 
 
 def _value_equals(d, j, o) -> bool:

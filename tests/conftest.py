@@ -26,8 +26,9 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from conjlab.extension import GElement, g_conj, g_mul, parse_word
-from conjlab.nilpotent import DElement, d_element
+from conjlab.nilpotent import DElement, d_element, d_inv, d_mul
 from conjlab.sepfunc import from_table, constant_prime, nth_prime
+from conjlab.tables import MAX_TABLE_ORDER, FiniteGroupTable
 
 settings.register_profile(
     "conjlab",
@@ -252,6 +253,41 @@ def letters_to_g(letters) -> GElement:
     for kind, idx, exp in letters:
         acc = g_mul(acc, parse_word(letters_to_word([(kind, idx, exp)])))
     return acc
+
+
+def d_comm(x: DElement, y: DElement) -> DElement:
+    return d_mul(d_mul(d_mul(x, y), d_inv(x)), d_inv(y))
+
+
+# ------------------------------------------------------------ group tables
+
+def format_table(Q: FiniteGroupTable) -> str:
+    lines = [f"order {Q.order}"]
+    lines.extend(" ".join(str(v) for v in row) for row in Q.table)
+    lines.append(f"alpha {Q.alpha}")
+    lines.append(f"beta {Q.beta}")
+    lines.append(f"tau {Q.tau}")
+    return "\n".join(lines) + "\n"
+
+
+def from_quotient_spec(spec) -> FiniteGroupTable:
+    """Multiplication table of a finite quotient, marking the images of
+    a_0, b_0, and t."""
+    order = spec.order()
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(f"order {order} exceeds the cap {MAX_TABLE_ORDER}")
+    fq = spec.folded()
+
+    def frozen(el):  # folded elements are dicts, which do not hash
+        return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
+
+    elems = list(fq.elements())
+    index = {frozen(el): i for i, el in enumerate(elems)}
+    table = [[index[frozen(fq.mul(x, y))] for y in elems] for x in elems]
+    alpha = index[frozen(fq.from_parts(a={0: 1}))]
+    beta = index[frozen(fq.from_parts(b={0: 1}))]
+    tau = index[frozen(fq.from_parts(t=1))]
+    return FiniteGroupTable(table, alpha, beta, tau)
 
 
 # ------------------------------------------------------------------ fixtures

@@ -9,7 +9,9 @@ from conjlab.cli import DEFAULT_D, main
 from conjlab.extension import g_conj, g_equal, parse_word
 from conjlab.quotients import make_spec
 from conjlab.sepfunc import parse_d_spec
-from conjlab.tables import format_table, from_permutations
+from conjlab.tables import from_permutations
+
+from conftest import format_table
 
 D_TABLE = parse_d_spec(DEFAULT_D)
 

@@ -24,7 +24,6 @@ from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, g_t, pars
 from conjlab.nilpotent import (
     DElement,
     central_c,
-    d_commutator,
     d_element,
     d_identity,
     d_mul,
@@ -34,7 +33,7 @@ from conjlab.nilpotent import (
 )
 from conjlab.sepfunc import constant_prime
 
-from conftest import box_solutions, letters_to_g, random_letters
+from conftest import box_solutions, d_comm, letters_to_g, random_letters
 
 AA, AB, BB, C = ("AA",), ("AB",), ("BB",), ("C",)
 
@@ -207,7 +206,7 @@ def test_commutator_bilinear_matches_group_commutator():
         y = d_element(a={k: v for k, v in ya.items() if v},
                       b={k: v for k, v in yb.items() if v})
         got = commutator_bilinear(x.a_part, x.b_part, y.a_part, y.b_part)
-        assert got == d_commutator(x, y).derived
+        assert got == d_comm(x, y).derived
 
 
 def test_commutator_solver_frozen():
@@ -241,10 +240,10 @@ def test_commutator_solver_constructed_solvable():
     for _ in range(200):
         h1 = random_ab_element(rng)
         h0 = random_ab_element(rng)
-        target = d_commutator(h0, h1)
+        target = d_comm(h0, h1)
         h = solve_commutator_equation(h1, target)
         assert h is not None
-        assert nonc(d_commutator(h, h1)) == nonc(target)
+        assert nonc(d_comm(h, h1)) == nonc(target)
         solved += 1
     assert solved == 200
 
@@ -252,10 +251,10 @@ def test_commutator_solver_constructed_solvable():
 def test_commutator_solver_mirror_side():
     # pivot must come from the b coordinates when the a part is empty
     h1 = generator_b(0)
-    target = d_commutator(generator_a(0), h1)
+    target = d_comm(generator_a(0), h1)
     h = solve_commutator_equation(h1, target)
     assert h is not None
-    assert nonc(d_commutator(h, h1)) == nonc(target)
+    assert nonc(d_comm(h, h1)) == nonc(target)
 
 
 def test_commutator_solver_one_sided_brute():
@@ -271,7 +270,7 @@ def test_commutator_solver_one_sided_brute():
     for _ in range(120):
         h1 = random_ab_element(rng, span=1, mag=1)
         target_src = random_ab_element(rng, span=1, mag=1)
-        target = d_element(derived=nonc(d_commutator(target_src, h1)))
+        target = d_element(derived=nonc(d_comm(target_src, h1)))
         extra = rng.choice([None, ("AA", 0, 1), ("AB", 0, 0)])
         if extra:
             der = dict(target.derived)
@@ -280,9 +279,9 @@ def test_commutator_solver_one_sided_brute():
         h = solve_commutator_equation(h1, target)
         if h is None:
             for cand in candidates:
-                assert nonc(d_commutator(cand, h1)) != nonc(target)
+                assert nonc(d_comm(cand, h1)) != nonc(target)
         else:
-            assert nonc(d_commutator(h, h1)) == nonc(target)
+            assert nonc(d_comm(h, h1)) == nonc(target)
 
 
 # ------------------------------------------------------------- mod-C stage
