@@ -19,8 +19,14 @@ b-generators, then an exponent dictionary over the derived basis
 For i > j the commutator [a_i,b_j] rewrites to ('AB', j, i) minus ('C', i-j).
 c_0 is trivial and c_{-k} is the inverse of c_k, so those keys never occur.
 
+Collection has one path, the kernel _collect: it adds the correction of a
+product straight into a dict its caller owns. d_mul and d_inv pass the
+product's own derived dict; _mul_correction wraps it for the folded
+quotients and commutator_bilinear.
+
 All coordinates are arbitrary-precision integers. Elements are never mutated
-after construction; every operation returns a fresh element. Because d(j)
+after construction: every operation returns a fresh element, or an operand
+itself when the result equals it (d_mul by the identity). Because d(j)
 may be astronomically large, a C coordinate is only compared with d(j) when
 d(j) is known to be small enough to reach it (is_identity_d). Plain == on
 elements is raw coordinate identity, not group equality: test equality in
@@ -133,11 +139,6 @@ def ab_terms(i: int, j: int, coeff: int = 1):
     return ((("AB", j, i), coeff),) + c_terms(i - j, -coeff)
 
 
-def ba_terms(i: int, j: int, coeff: int = 1):
-    """Coordinates of [b_i, a_j]^coeff, the inverse of [a_j, b_i]^coeff."""
-    return ab_terms(j, i, -coeff)
-
-
 def _acc(dest: dict, terms) -> dict:
     """Add (key, coefficient) pairs into the sparse dict dest, dropping
     coordinates that cancel; returns dest."""
@@ -154,47 +155,74 @@ def _neg_vec(u: dict) -> dict:
     return {i: -e for i, e in u.items()}
 
 
-def _mul_correction(xa: dict, xb: dict, ya: dict, yb: dict) -> dict:
-    """Derived correction for (A(xa) B(xb)) * (A(ya) B(yb)).
+def _collect(der: dict, xa: dict, xb: dict, ya: dict, yb: dict) -> None:
+    """The one collection kernel: add the derived correction of
+    (A(xa) B(xb)) * (A(ya) B(yb)) into der, a dict the caller owns.
 
-    Moving the second factor's a-generators left past the first factor's
-    b-generators contributes [b_i, a_j] terms; merging the two ascending
-    a-products (and b-products) contributes one commutator per inverted
-    index pair. All corrections are central, so they accumulate freely.
+    Each a_j^f of the second factor moves left past each b_i^e of the
+    first: [b_i, a_j]^(ef) is AB(j, i)^(-ef) when j <= i, else
+    AB(i, j)^(-ef) C(j - i)^(ef). Each inverted pair i > j of the merged
+    a-products gives AA(j, i)^(-ef), and of the b-products BB(j, i)^(-ef).
+    All terms are central. Cancelled coordinates stay in der as zeros,
+    for the caller to drop once, at the end.
     """
-    corr: dict = {}
+    get = der.get
     for i, e in xb.items():
         for j, f in ya.items():
-            _acc(corr, ba_terms(i, j, e * f))
+            ef = e * f
+            if j <= i:
+                key = ("AB", j, i)
+                der[key] = get(key, 0) - ef
+            else:
+                key = ("AB", i, j)
+                der[key] = get(key, 0) - ef
+                key = ("C", j - i)
+                der[key] = get(key, 0) + ef
     for i, e in xa.items():
         for j, f in ya.items():
             if i > j:
-                _acc(corr, aa_terms(i, j, e * f))
+                key = ("AA", j, i)
+                der[key] = get(key, 0) - e * f
     for i, e in xb.items():
         for j, f in yb.items():
             if i > j:
-                _acc(corr, bb_terms(i, j, e * f))
-    return corr
+                key = ("BB", j, i)
+                der[key] = get(key, 0) - e * f
+
+
+def _mul_correction(xa: dict, xb: dict, ya: dict, yb: dict) -> dict:
+    """The kernel's correction for (A(xa) B(xb)) * (A(ya) B(yb)) as a
+    fresh dict without zeros."""
+    corr: dict = {}
+    _collect(corr, xa, xb, ya, yb)
+    return _clean(corr) if 0 in corr.values() else corr
 
 
 def d_mul(x: DElement, y: DElement) -> DElement:
-    der = _acc(dict(x.derived), y.derived.items())
-    _acc(der, _mul_correction(x.a_part, x.b_part, y.a_part, y.b_part).items())
+    if not (y.a_part or y.b_part or y.derived):
+        return x
+    if not (x.a_part or x.b_part or x.derived):
+        return y
+    der = dict(x.derived)
+    get = der.get
+    for key, v in y.derived.items():
+        der[key] = get(key, 0) + v
+    _collect(der, x.a_part, x.b_part, y.a_part, y.b_part)
     return DElement(_acc(dict(x.a_part), y.a_part.items()),
-                    _acc(dict(x.b_part), y.b_part.items()), der)
+                    _acc(dict(x.b_part), y.b_part.items()), _clean(der))
 
 
 def d_inv(x: DElement) -> DElement:
-    na, nb = _neg_vec(x.a_part), _neg_vec(x.b_part)
+    # x x^-1 = 1 leaves -x.derived - corr(x, x^-1), and the correction is
+    # bilinear in the abelian parts, so -corr(x, x^-1) = corr(x, x)
     der = {k: -v for k, v in x.derived.items()}
-    corr = _mul_correction(x.a_part, x.b_part, na, nb)
-    _acc(der, ((k, -v) for k, v in corr.items()))
-    return DElement(na, nb, der)
+    _collect(der, x.a_part, x.b_part, x.a_part, x.b_part)
+    return DElement(_neg_vec(x.a_part), _neg_vec(x.b_part), _clean(der))
 
 
 def phi_shift(x: DElement, n: int) -> DElement:
     """The shift automorphism: indices of a, b move by n, c_k is fixed."""
-    if n == 0:
+    if n == 0 or not (x.a_part or x.b_part or x.derived):
         return x
     a = {i + n: e for i, e in x.a_part.items()}
     b = {i + n: e for i, e in x.b_part.items()}

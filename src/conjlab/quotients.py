@@ -160,18 +160,16 @@ class FoldedQuotient:
 
     def _sinv(self, x):
         xa, xb, xn, xc, xt = x
-        na = {i: -v for i, v in xa.items()}
-        nb = {i: -v for i, v in xb.items()}
         dn: dict = {}
         dc: dict = {}
-        corr = _mul_correction(xa, xb, na, nb)
-        self._acc_terms(dn, dc, ((key, -v) for key, v in corr.items()))
+        # as in d_inv: -corr(x, x^-1) = corr(x, x) by bilinearity
+        self._acc_terms(dn, dc, _mul_correction(xa, xb, xa, xb).items())
         self._acc_terms(dn, dc, ((key, -v) for key, v in xn.items()))
         for k, v in xc.items():
             self._acc_c(dc, k, -v)
         m = self.m
-        na = {i: v % m for i, v in na.items()}
-        nb = {i: v % m for i, v in nb.items()}
+        na = {i: -v % m for i, v in xa.items()}
+        nb = {i: -v % m for i, v in xb.items()}
         return self._srot((na, nb, dn, dc, -xt % self.I), -xt)
 
     def _simage(self, g: GElement):
@@ -525,13 +523,16 @@ def _minus(fq, y, x):
 
 
 def _qpow(fq, x, n):
-    acc = fq.identity()
-    base = x
-    while n:
-        if n & 1:
-            acc = fq.mul(acc, base)
-        base = fq.mul(base, base)
+    """x^n for n >= 1, by squaring from the lowest set bit to the top one."""
+    while not n & 1:
+        x = fq.mul(x, x)
         n >>= 1
+    acc = x
+    while n > 1:
+        n >>= 1
+        x = fq.mul(x, x)
+        if n & 1:
+            acc = fq.mul(acc, x)
     return acc
 
 

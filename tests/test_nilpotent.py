@@ -1,15 +1,19 @@
 """Collection layer: frozen coordinate examples, agreement with the
 independent cocycle oracle, and the budgeted triviality tests."""
 
+import random
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conjlab.extension import GElement, g_equal
+from conjlab.conjugacy import commutator_bilinear
+from conjlab.extension import GElement, g_equal, g_mul, parse_word
 from conjlab.nilpotent import (
     DElement,
+    _mul_correction,
     aa_terms,
     ab_terms,
-    ba_terms,
     bb_terms,
     c_terms,
     central_c,
@@ -25,6 +29,7 @@ from conjlab.nilpotent import (
     phi_shift,
     power_of_two_exponent,
 )
+from conjlab.quotients import make_spec
 
 from conftest import (
     d_comm,
@@ -33,8 +38,11 @@ from conftest import (
     free_mul,
     free_shift,
     letters_to_g,
+    letters_to_word,
     og_from_letters,
+    og_mul,
     rho,
+    rho_g,
 )
 
 
@@ -65,8 +73,10 @@ def test_term_canonicalization():
     assert ab_terms(0, 0) == ((("AB", 0, 0), 1),)
     assert ab_terms(2, 5, -1) == ((("AB", 2, 5), -1),)
     assert ab_terms(5, 2) == ((("AB", 2, 5), 1), (("C", 3), -1))
-    # [b_2, a_5] = [a_5, b_2]^-1 rewrites through c_3
-    assert dict(ba_terms(2, 5)) == {("AB", 2, 5): -1, ("C", 3): 1}
+    # [b_2, a_5] = [a_5, b_2]^-1, collected from b_2 a_5, rewrites
+    # through c_3
+    assert _mul_correction({}, {2: 1}, {5: 1}, {}) == {("AB", 2, 5): -1,
+                                                       ("C", 3): 1}
     assert c_terms(0) == ()
     assert c_terms(4) == ((("C", 4), 1),)
     assert c_terms(-4) == ((("C", 4), -1),)
@@ -153,6 +163,74 @@ def test_shift_is_an_automorphism(letters, n, m):
 def test_shift_respects_mul(u, v, n):
     x, y = d_of(u), d_of(v)
     assert phi_shift(d_mul(x, y), n) == d_mul(phi_shift(x, n), phi_shift(y, n))
+
+
+# ---------------------------------------------------------- decide scale
+
+def banded_letters(rng, n, band=6):
+    """n letters over t a b T A B whose running t-exponent stays within
+    +-band, as in the conjbench decide pairs: the a- and b-letters then
+    land on the 2 band + 1 indices -band..band."""
+    letters, pos = [], 0
+    for _ in range(n):
+        c = rng.choice("tabTAB")
+        if (c == "t" and pos >= band) or (c == "T" and pos <= -band):
+            c = rng.choice("abAB")
+        pos += (c == "t") - (c == "T")
+        letters.append((c.lower(), 0, 1 if c.islower() else -1))
+    return letters
+
+
+def test_oracle_at_decide_scale():
+    # the hypothesis strategies stay within 8 letters and indices +-4;
+    # decide multiplies elements with about 13 generators per family and
+    # 240 derived keys
+    rng = random.Random(8)
+    sizes = []
+    for n in (256, 512, 1024, 1024):
+        u, v = banded_letters(rng, n), banded_letters(rng, n)
+        ou, ov = og_from_letters(u), og_from_letters(v)
+        gx, gy = parse_word(letters_to_word(u)), parse_word(letters_to_word(v))
+        assert gx == rho_g(ou) and gy == rho_g(ov)
+        x, y = gx.d_part, gy.d_part
+        hx, hy = ou[0], ov[0]
+        sizes += [(len(g.a_part), len(g.b_part), len(g.derived))
+                  for g in (x, y)]
+        assert d_mul(x, y) == rho(free_mul(hx, hy))
+        assert d_inv(x) == rho(free_inv(hx))
+        for shift in (-7, 3):
+            assert phi_shift(x, shift) == rho(free_shift(hx, shift))
+        assert g_mul(gx, gy) == rho_g(og_mul(ou, ov))
+        assert (commutator_bilinear(x.a_part, x.b_part, y.a_part, y.b_part)
+                == d_comm(x, y).derived)
+    # the largest operands fill the band: 13 indices a family, 230+ keys
+    assert max(a for a, _, _ in sizes) == max(b for _, b, _ in sizes) == 13
+    assert max(k for _, _, k in sizes) >= 230
+
+
+def test_operands_are_never_written(d_table):
+    # the kernel writes into dicts, and d_mul hands back an operand
+    # itself for an identity factor: no call may write into an argument
+    rng = random.Random(9)
+    fq = make_spec(8, 31, d_table).folded()
+    e, fe = GElement(), fq.identity()
+    for n in (0, 16, 64, 256):
+        gx = parse_word(letters_to_word(banded_letters(rng, n)))
+        gy = parse_word(letters_to_word(banded_letters(rng, n)))
+        x, y = gx.d_part, gy.d_part
+        fx, fy = fq.image(gx), fq.image(gy)
+        calls = [
+            (d_mul, (x, y)), (d_mul, (x, e.d_part)), (d_mul, (e.d_part, y)),
+            (d_inv, (x,)), (g_mul, (gx, gy)), (g_mul, (gx, e)),
+            (g_mul, (e, gy)),
+            (commutator_bilinear, (x.a_part, x.b_part, y.a_part, y.b_part)),
+            (fq.mul, (fx, fy)), (fq.mul, (fx, fe)), (fq.mul, (fe, fy)),
+            (fq.inv, (fx,)), (fq.rotate, (fx, 3)), (fq.image, (gx,)),
+        ]
+        for fn, args in calls:
+            before = deepcopy(args)
+            fn(*args)
+            assert args == before, (fn.__name__, n)
 
 
 # --------------------------------------------------------------- group laws
