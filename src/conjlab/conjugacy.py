@@ -26,8 +26,8 @@ from .extension import GElement, g_conj, g_identity, g_inv, g_mul, g_t
 from .nilpotent import (
     DElement,
     _acc,
+    _clean,
     _mul_correction,
-    d_element,
     d_identity,
     d_inv,
     d_mul,
@@ -253,11 +253,11 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
                 flip[("AA", i, j)] = v
             else:
                 flip[("AB", i, j)] = -v
-        sol = solve_commutator_equation(d_element(a=xi_b, b=xi_a),
-                                        d_element(derived=flip))
+        sol = solve_commutator_equation(DElement(_clean(xi_b), _clean(xi_a)),
+                                        DElement({}, {}, _clean(flip)))
         if sol is None:
             return None
-        return d_element(a=sol.b_part, b=sol.a_part)
+        return DElement(_clean(sol.b_part), _clean(sol.a_part))
 
     k = min(xi_a)
     p = xi_a[k]
@@ -333,7 +333,7 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
             eta_a[j] = va // p2
         if vb:
             eta_b[j] = vb // p2
-    result = d_element(a=eta_a, b=eta_b)
+    result = DElement(_clean(eta_a), _clean(eta_b))
     got = {key: v for key, v in
            commutator_bilinear(eta_a, eta_b, xi_a, xi_b).items() if key[0] != "C"}
     if got != T:
@@ -373,7 +373,7 @@ def _conj_untwisted(h1: DElement, h2: DElement):
         return None, REASON_AB
     rem = d_mul(d_inv(x), h2)
     target = {k: -v for k, v in _nonc(rem).items()}
-    h = solve_commutator_equation(x, d_element(derived=target))
+    h = solve_commutator_equation(x, DElement({}, {}, _clean(target)))
     if h is None:
         return None, REASON_TWISTED
     return g_mul(g_t(i1 - i2), GElement(h)), None
@@ -389,7 +389,7 @@ def _conj_twisted(h1: DElement, h2: DElement, n_t: int):
         ab = solve_twisted_abelian(da, db, n_t)
         if ab is None:
             continue
-        h0 = d_element(a=ab[0], b=ab[1])
+        h0 = DElement(_clean(ab[0]), _clean(ab[1]))
         r = d_mul(d_mul(d_inv(h0), x), phi_shift(h0, n_t))
         if r.a_part != h2.a_part or r.b_part != h2.b_part:
             raise AssertionError("abelianized twisted stage went astray")
@@ -398,7 +398,7 @@ def _conj_twisted(h1: DElement, h2: DElement, n_t: int):
         dd = solve_twisted_derived({k: v for k, v in delta.items() if v}, n_t)
         if dd is None:
             continue
-        h = d_mul(h0, d_element(derived=dd))
+        h = d_mul(h0, DElement({}, {}, _clean(dd)))
         return g_mul(g_t(i), GElement(h)), None
     return None, REASON_TWISTED
 

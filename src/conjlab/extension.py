@@ -5,14 +5,16 @@ Conjugation by t shifts generator indices upward: t a_i t^{-1} = a_{i+1}.
 
 Words use whitespace-separated tokens over the letters
 
-    t a b        the generators t, a_0, b_0
-    T A B        their inverses
-    x^<int>      repetition, e.g. t^-3
-    a[i] b[i]    shorthand for t^i a t^-i and t^i b t^-i
-    c[k]         shorthand for [a_0,b_k][b_0,a_k]
+    t a b             the generators t, a_0, b_0
+    T A B             their inverses
+    x^<int>           repetition, e.g. t^-3
+    a[i] b[i]         shorthand for t^i a t^-i and t^i b t^-i
+    c[k]              shorthand for [a_0,b_k][b_0,a_k]
+    A[i] B[i] C[k]    the inverses of a[i], b[i], c[k]
 
 word_length measures words with the shorthands expanded: a[i] and b[i]
-count as 2|i|+1 letters, c[k] as 8|k|+8.
+count as 2|i|+1 letters, c[k] as 8|k|+8, and an uppercase form as its
+lowercase one.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field
 
 from .nilpotent import (
     DElement,
+    _clean,
+    _collect,
     c_terms,
-    d_element,
     d_identity,
     d_inv,
     d_mul,
@@ -76,7 +79,9 @@ class WordParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"^(?:([tabTAB])|([abc])\[(-?\d+)\])(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^(?:([tabTAB])|([abcABC])\[(-?\d+)\])(?:\^(-?\d+))?$")
+_BARE = {"t": ("t", 0, 1), "a": ("a", 0, 1), "b": ("b", 0, 1),
+         "T": ("t", 0, -1), "A": ("a", 0, -1), "B": ("b", 0, -1)}
 
 
 def _token_parts(token: str, position: int):
@@ -85,39 +90,55 @@ def _token_parts(token: str, position: int):
         raise WordParseError(f"bad token {token!r}", position)
     letter, macro, idx, rep = m.groups()
     exp = int(rep) if rep is not None else 1
-    if letter is not None:
-        base = letter.lower()
-        if letter.isupper():
-            exp = -exp
-        return base, 0, exp
-    return macro, int(idx), exp
+    base = letter or macro
+    if base.isupper():
+        exp = -exp
+    return base.lower(), int(idx) if idx is not None else 0, exp
 
 
-def _token_element(kind: str, idx: int, exp: int) -> GElement:
-    if kind == "t":
-        return GElement(d_identity(), exp)
-    if kind == "a":
-        return GElement(d_element(a={idx: exp}))
-    if kind == "b":
-        return GElement(d_element(b={idx: exp}))
-    return GElement(DElement({}, {}, dict(c_terms(idx, exp))))
+def _tokens(text: str):
+    """(kind, index, exponent) of each token of text, in order."""
+    for m in re.finditer(r"\S+", text):
+        token = m.group()
+        yield _BARE.get(token) or _token_parts(token, m.start())
 
 
 def parse_word(text: str) -> GElement:
     """Parse a word into a group element; see the module docstring for
-    the grammar. Raises WordParseError with the offending position."""
-    out = g_identity()
-    for m in re.finditer(r"\S+", text):
-        kind, idx, exp = _token_parts(m.group(), m.start())
-        out = g_mul(out, _token_element(kind, idx, exp))
-    return out
+    the grammar. Raises WordParseError with the offending position.
+
+    Collects in one pass, into dicts of its own: a letter x_i^e read
+    after t^n is x_{i+n}^e, whose correction the kernel adds into the
+    derived dict, and c is central and fixed by the shift."""
+    a, b, der = {}, {}, {}
+    t = 0
+    for kind, idx, exp in _tokens(text):
+        if kind == "t":
+            t += exp
+            continue
+        if kind == "c":
+            for key, v in c_terms(idx, exp):
+                der[key] = der.get(key, 0) + v
+            continue
+        i = idx + t
+        if kind == "a":
+            _collect(der, a, b, {i: exp}, {})
+            part = a
+        else:
+            _collect(der, a, b, {}, {i: exp})
+            part = b
+        v = part.get(i, 0) + exp
+        if v:
+            part[i] = v
+        else:
+            part.pop(i, None)
+    return GElement(DElement(a, b, _clean(der)), t)
 
 
 def word_length(text: str) -> int:
     """Letter count of the word with all shorthands expanded."""
     total = 0
-    for m in re.finditer(r"\S+", text):
-        kind, idx, exp = _token_parts(m.group(), m.start())
+    for kind, idx, exp in _tokens(text):
         if kind == "t":
             base = 1
         elif kind in ("a", "b"):

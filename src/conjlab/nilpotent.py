@@ -21,8 +21,9 @@ c_0 is trivial and c_{-k} is the inverse of c_k, so those keys never occur.
 
 Collection has one path, the kernel _collect: it adds the correction of a
 product straight into a dict its caller owns. d_mul and d_inv pass the
-product's own derived dict; _mul_correction wraps it for the folded
-quotients and commutator_bilinear.
+product's own derived dict, and extension.parse_word the dict it builds
+a word into, one letter at a time; _mul_correction wraps it for the
+folded quotients and commutator_bilinear.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction: every operation returns a fresh element, or an operand

@@ -75,6 +75,15 @@ def test_conj_timing_flag(capsys):
     assert any(line.startswith("elapsed: ") for line in out.splitlines())
 
 
+def test_conj_readme_input_example(capsys):
+    # README "Input formats" writes an inverse as B[-1]
+    word = "t a[1]^2 B[-1] c[2]"
+    code, out, err = run(capsys, "conj", word, word)
+    assert code == 0
+    assert out.splitlines()[1] == "verdict: conjugate"
+    assert err == ""
+
+
 def test_conj_bad_word(capsys):
     code, out, err = run(capsys, "conj", "a[", "a[0]")
     assert code == 2

@@ -1,6 +1,8 @@
 """Shift extension and the word layer: parsing, spelling, lengths, and
 oracle agreement for the G operations."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,24 @@ def test_parse_basic_word():
     assert parse_word("c[-2]") == GElement(d_element(derived={("C", 2): -1}))
 
 
+def test_parse_uppercase_indexed_inverses():
+    # the README "Input formats" example
+    assert parse_word("t a[1]^2 B[-1] c[2]") == \
+        parse_word("t a[1]^2 b[-1]^-1 c[2]")
+    assert parse_word("A[2]^3") == parse_word("a[2]^-3")
+    assert parse_word("C[3]") == parse_word("c[3]^-1")
+    assert parse_word("C[-2]^2") == parse_word("c[-2]^-2")
+    assert word_length("B[-1]") == word_length("b[-1]") == 3
+    assert word_length("C[2]^-2") == 48
+
+
+def test_parse_zero_exponents_and_c0():
+    for word in ("a^0", "b[3]^0", "c[2]^0", "t^0", "c[0]", "C[0]^5",
+                 "A[1]^0", "a b[3]^0 A", "t b[3]^0 c[0] T"):
+        assert parse_word(word) == g_identity(), word
+    assert parse_word("a[2] a[2]^0 t^0") == parse_word("a[2]")
+
+
 def test_conjugation_by_t():
     assert g_conj(GElement(generator_a(0)), g_t(-1)) == GElement(generator_a(1))
     assert g_conj(GElement(generator_a(0)), g_t(3)) == \
@@ -60,6 +80,54 @@ def test_inverse_with_twist():
 @given(letters_st)
 def test_oracle_parse(letters):
     assert parse_word(letters_to_word(letters)) == rho_g(og_from_letters(letters))
+
+
+def _mixed_token(rng):
+    """One token in any of the word forms, with the (kind, index,
+    exponent) letters it stands for."""
+    form = rng.randrange(7)
+    kind = rng.choice("ab")
+    i = rng.randint(-8, 8)
+    e = rng.choice([-3, -2, -1, 0, 1, 2, 3])
+    if form == 0:
+        c = rng.choice("tabTAB")
+        return c, [(c.lower(), 0, 1 if c.islower() else -1)]
+    if form == 1:
+        return f"{kind}[{i}]^{e}", [(kind, i, e)]
+    if form == 2:
+        return f"{kind.upper()}[{i}]^{e}", [(kind, i, -e)]
+    if form == 3:
+        k = rng.randint(-3, 3)
+        return f"c[{k}]^{e}", [("c", k, e)]
+    if form == 4:
+        k = rng.randint(-3, 3)
+        return f"C[{k}]", [("c", k, -1)]
+    if form == 5:
+        n = rng.randint(-2, 2)
+        return f"t^{n}", [("t", 0, n)]
+    return (f"{kind}[{i}]^{e} {kind.upper()}[{i}]^{e}",
+            [(kind, i, e), (kind, i, -e)])
+
+
+def test_oracle_parse_at_decide_scale():
+    # the one-pass parser against the per-token g_mul fold and the free
+    # model, on words as long as the decide set-up reads
+    rng = random.Random(11)
+    for n in (0, 1, 8, 64, 256, 1024, 1024):
+        tokens, letters = [], []
+        for _ in range(n):
+            text, parts = _mixed_token(rng)
+            tokens.append(text)
+            letters.extend(parts)
+        word = " ".join(tokens)
+        got = parse_word(word)
+        assert got == letters_to_g(letters) == rho_g(og_from_letters(letters))
+        again = parse_word(word)
+        assert again == got
+        for x, y in ((got.d_part.a_part, again.d_part.a_part),
+                     (got.d_part.b_part, again.d_part.b_part),
+                     (got.d_part.derived, again.d_part.derived)):
+            assert x is not y
 
 
 @given(letters_st, letters_st)
