@@ -165,30 +165,34 @@ def _collect(der: dict, xa: dict, xb: dict, ya: dict, yb: dict) -> None:
     AB(i, j)^(-ef) C(j - i)^(ef). Each inverted pair i > j of the merged
     a-products gives AA(j, i)^(-ef), and of the b-products BB(j, i)^(-ef).
     All terms are central. Cancelled coordinates stay in der as zeros,
-    for the caller to drop once, at the end.
+    for the caller to drop once, at the end. A loop over an empty ya or
+    yb is skipped, so a one-letter second factor walks the first factor
+    once.
     """
     get = der.get
-    for i, e in xb.items():
-        for j, f in ya.items():
-            ef = e * f
-            if j <= i:
-                key = ("AB", j, i)
-                der[key] = get(key, 0) - ef
-            else:
-                key = ("AB", i, j)
-                der[key] = get(key, 0) - ef
-                key = ("C", j - i)
-                der[key] = get(key, 0) + ef
-    for i, e in xa.items():
-        for j, f in ya.items():
-            if i > j:
-                key = ("AA", j, i)
-                der[key] = get(key, 0) - e * f
-    for i, e in xb.items():
-        for j, f in yb.items():
-            if i > j:
-                key = ("BB", j, i)
-                der[key] = get(key, 0) - e * f
+    if ya:
+        for i, e in xb.items():
+            for j, f in ya.items():
+                ef = e * f
+                if j <= i:
+                    key = ("AB", j, i)
+                    der[key] = get(key, 0) - ef
+                else:
+                    key = ("AB", i, j)
+                    der[key] = get(key, 0) - ef
+                    key = ("C", j - i)
+                    der[key] = get(key, 0) + ef
+        for i, e in xa.items():
+            for j, f in ya.items():
+                if i > j:
+                    key = ("AA", j, i)
+                    der[key] = get(key, 0) - e * f
+    if yb:
+        for i, e in xb.items():
+            for j, f in yb.items():
+                if i > j:
+                    key = ("BB", j, i)
+                    der[key] = get(key, 0) - e * f
 
 
 def _mul_correction(xa: dict, xb: dict, ya: dict, yb: dict) -> dict:

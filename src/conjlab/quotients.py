@@ -31,8 +31,9 @@ so equal elements compare equal and no operation pays for the O(I^2)
 full layout. Elements are values: no operation mutates its arguments,
 and a caller that needs a hashable key freezes the dicts itself. A
 FiniteQuotientSpec builds its FoldedQuotient on first use and keeps it,
-so the folded arithmetic lives exactly as long as the spec; its order is
-a closed formula in I, m and the c-moduli.
+so the folded arithmetic lives exactly as long as the spec. Its order is
+the closed formula quotient_order(I, m, moduli), which the search ladder
+also reads without building a spec.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order. finite_conjugate
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 from .conjugacy import IntegerLinearSystem, commutator_bilinear, hnf_solve
 from .extension import GElement
@@ -244,6 +245,32 @@ class FoldedQuotient:
                 yield parts + (t,)
 
 
+def c_fold(n: int, I: int) -> int:
+    """The canonical index in 0..I//2 that c_n folds onto under index
+    modulus I: c_0 = 1 and c_{I-k} = c_k^{-1}, so k = min(n mod I,
+    I - n mod I), with 0 meaning c_n dies."""
+    r = n % I
+    return min(r, I - r)
+
+
+def quotient_order(I: int, m: int, moduli, log2: bool = False):
+    """|Q(I, m)| = I * m^(2I + I(3I-1)/2) * prod M(k): the index t, m for
+    each a, b and non-central derived coordinate, and M(k) for each
+    central index. With log2 its base-2 logarithm as a float, summed in
+    that order; a modulus 1 adds nothing to either."""
+    coords = 2 * I + I * (3 * I - 1) // 2
+    if log2:
+        total = math.log2(I) + coords * math.log2(m)
+        for mod in moduli:
+            if mod != 1:
+                total += math.log2(mod)
+        return total
+    total = I * m ** coords
+    for mod in moduli:
+        total *= mod
+    return total
+
+
 def _two_adic_valuation(n: int) -> int:
     s = 0
     while n % 2 == 0:
@@ -277,10 +304,9 @@ def relator_folds(I: int, d):
     js: dict = {}
     tails: dict = {}
     for j in range(s):
-        r = pow(2, j, I)
-        js.setdefault(min(r, I - r), []).append(j)
+        js.setdefault(c_fold(2 ** j, I), []).append(j)
     for off, r in enumerate(cycle):
-        k = min(r, I - r)
+        k = c_fold(r, I)
         js.setdefault(k, []).extend(range(s + off, start, len(cycle)))
         tails[k] = tail
     for k in sorted(js):
@@ -342,11 +368,9 @@ class FiniteQuotientSpec:
 
     def c_survives(self, n: int) -> bool:
         """Whether the central generator c_n maps to a nontrivial element:
-        it folds onto k = min(n mod I, I - n mod I), and survives exactly
-        when k != 0 and M(k) != 1. Needs no folded arithmetic."""
-        I = self.index_modulus
-        r = n % I
-        k = min(r, I - r)
+        it folds onto k = c_fold(n, I), and survives exactly when k != 0
+        and M(k) != 1. Needs no folded arithmetic."""
+        k = c_fold(n, self.index_modulus)
         return k != 0 and self.c_modulus(k) != 1
 
     @cached_property
@@ -359,25 +383,18 @@ class FiniteQuotientSpec:
         return self._folded
 
     def order(self) -> int:
-        I, m = self.index_modulus, self.exponent_modulus
-        total = I * m ** (2 * I + I * (3 * I - 1) // 2)
-        for _, mod in self.c_moduli:
-            total *= mod
-        return total
+        return quotient_order(self.index_modulus, self.exponent_modulus,
+                              [mod for _, mod in self.c_moduli])
 
     def log2_order(self) -> float:
-        I, m = self.index_modulus, self.exponent_modulus
-        nonc = I * (3 * I - 1) // 2
-        total = math.log2(I) + (2 * I + nonc) * math.log2(m)
-        for _, mod in self.c_moduli:
-            total += math.log2(mod)
-        return total
+        return quotient_order(self.index_modulus, self.exponent_modulus,
+                              [mod for _, mod in self.c_moduli], log2=True)
 
 
 def spec_from_bounds(I: int, m: int, bounds) -> FiniteQuotientSpec:
     """Q(I, m) with the c-moduli gcd(m, B(k)) read from c_bounds(I, d)."""
-    return FiniteQuotientSpec(I, m, tuple((k, math.gcd(m, b))
-                                          for k, b in enumerate(bounds, 1)))
+    return FiniteQuotientSpec(
+        I, m, tuple(enumerate(map(math.gcd, repeat(m), bounds), 1)))
 
 
 def make_spec(I: int, m: int, d) -> FiniteQuotientSpec:

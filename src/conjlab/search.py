@@ -22,6 +22,14 @@ walk's result and counts those of the plain enumeration:
   the t-exponent, so a mismatch there fails a whole phase at once;
   otherwise the full g_equal runs only when the a- and b-parts agree.
 
+The quotient ladder of each d is sorted once as flat keys: a grid
+position and the float log2 order of every Q(I, m), about 130 KB, with
+the c_bounds(I, d) of each I. A spec is built only when a walk reaches
+it, and then kept as long as d. The search builds the specs it tests
+and the witness walk of growth_table reads survival off the bounds, so
+neither builds the whole ladder; spec_stream builds every spec it
+returns.
+
 The quotient walk prunes hard: a quotient can only separate the pair if
 it separates z = g1 * g2^-1 from the identity whenever the pair is a
 central translate, and more generally equal images can never separate,
@@ -35,8 +43,10 @@ from __future__ import annotations
 
 import time
 import weakref
+from array import array
 from dataclasses import dataclass
-from math import log2
+from itertools import islice
+from math import gcd, log2, prod
 from typing import Optional
 
 from .conjugacy import conjugacy_decide
@@ -50,8 +60,9 @@ from .extension import (
     word_length,
 )
 from .nilpotent import central_c, d_mul, generator_a
-from .quotients import FiniteQuotientSpec, c_bounds, \
-    quotient_conjugate_exact, quotient_is_well_defined, spec_from_bounds
+from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
+    quotient_conjugate_exact, quotient_is_well_defined, quotient_order, \
+    spec_from_bounds
 
 I_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
@@ -95,49 +106,101 @@ def _prime_powers(cap: int):
 
 
 _M_CAP = 8192  # the largest exponent modulus on the ladder
+_MS = tuple(_prime_powers(_M_CAP))
 
-# d -> its sorted specs; an entry lives as long as its d object
+
+class _Ladder:
+    """The walk order of the grid I_LADDER x _MS for one d, as flat keys.
+
+    bounds[x] is c_bounds(I_LADDER[x], d). Walk position j holds the grid
+    position pos[j] = x * len(_MS) + y of Q(I_LADDER[x], _MS[y]) and its
+    key keys[j], the float log2 order, computed by the same
+    quotient_order call as FiniteQuotientSpec.log2_order() and so equal
+    to it bit for bit. Grid positions ascend with (I, m), so a stable
+    sort by key walks in (key, I, m) order. specs is the prefix of the
+    walk built so far: a spec is built when a walk first reaches it and
+    is kept, with its folded arithmetic, as long as the ladder.
+    """
+
+    def __init__(self, d):
+        self.bounds = [c_bounds(I, d) for I in I_LADDER]
+        keys = array("d")
+        for I, bounds in zip(I_LADDER, self.bounds):
+            # an m prime to every nonzero B(k) has modulus m where B(k) = 0
+            # and 1 elsewhere, and a modulus 1 adds nothing to the sum
+            shared = prod(b for b in bounds if b)
+            free = bounds.count(0)
+            keys.extend(quotient_order(
+                I, m, [m] * free if gcd(m, shared) == 1
+                else [gcd(m, b) for b in bounds], log2=True) for m in _MS)
+        walk = sorted(range(len(keys)), key=keys.__getitem__)
+        self.pos = array("H", walk)
+        self.keys = array("d", map(keys.__getitem__, walk))
+        self.specs = []
+
+    def order(self, j) -> int:
+        """The exact order of the quotient at walk position j, unbuilt."""
+        x, y = divmod(self.pos[j], len(_MS))
+        m = _MS[y]
+        return quotient_order(I_LADDER[x], m,
+                              [gcd(m, b) for b in self.bounds[x]])
+
+    def built(self, n):
+        """specs, with the first n walk positions built."""
+        specs = self.specs
+        width = len(_MS)
+        for p in self.pos[len(specs):n]:
+            x, y = divmod(p, width)
+            specs.append(spec_from_bounds(I_LADDER[x], _MS[y], self.bounds[x]))
+        return specs
+
+    def walk(self, budget: SearchBudget):
+        """The walk positions within budget, in walk order. max_order is
+        applied exactly, with the float key only used to skip the exact
+        comparison far from the bound and to stop past it; max_specs
+        truncates the tail."""
+        if budget.max_order is None:
+            yield from range(min(budget.max_specs, len(self.keys)))
+            return
+        bound = log2(budget.max_order)
+        taken = 0
+        for j, approx in enumerate(self.keys):
+            if approx > bound + 1:
+                return  # the keys ascend
+            if approx > bound - 1 and self.order(j) > budget.max_order:
+                continue
+            yield j
+            taken += 1
+            if taken >= budget.max_specs:
+                return
+
+
+# d -> its _Ladder; an entry lives as long as its d object
 _STREAM_CACHE = weakref.WeakKeyDictionary()
 
 
-def spec_stream(d, budget: SearchBudget):
-    """Finite quotient specs for this d, smallest first.
+def _ladder(d) -> _Ladder:
+    """The ladder of d, made on first use. The cache is keyed by the d
+    object, not its descriptor, which in-memory majorants all share."""
+    ladder = _STREAM_CACHE.get(d)
+    if ladder is None:
+        ladder = _STREAM_CACHE[d] = _Ladder(d)
+    return ladder
 
-    The full grid of the index ladder by the prime powers up to _M_CAP is
-    built once per d and sorted by approximate log2 order (the float key
-    only orders the walk; all group arithmetic stays exact). Each I reads
-    the c-moduli of every m from one c_bounds(I, d) call. The cache is
-    keyed by the d object, not its descriptor, which in-memory majorants
-    all share; each spec keeps its own folded arithmetic once built, so
-    that too lives as long as d. max_order is applied exactly, with the
-    float only used to skip the comparison far from the boundary and to
-    stop the walk past it; max_specs truncates the tail. The result is a
-    fresh list, never the cache itself.
+
+def spec_stream(d, budget: SearchBudget):
+    """Finite quotient specs for this d within budget, smallest first.
+
+    The walk order of the index ladder by the prime powers up to _M_CAP
+    is sorted once per d as flat float keys (see _Ladder; the key only
+    orders the walk, all group arithmetic stays exact). This list builds
+    every spec it returns; the search and the witness walk read the
+    same order lazily instead. The result is a fresh list.
     """
-    specs = _STREAM_CACHE.get(d)
-    if specs is None:
-        ms = _prime_powers(_M_CAP)
-        specs = []
-        for I in I_LADDER:
-            bounds = c_bounds(I, d)
-            specs.extend(spec_from_bounds(I, m, bounds) for m in ms)
-        specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
-                                  s.exponent_modulus))
-        _STREAM_CACHE[d] = specs
-    if budget.max_order is None:
-        return specs[:budget.max_specs]
-    bound = log2(budget.max_order)
-    out = []
-    for spec in specs:
-        approx = spec.log2_order()
-        if approx > bound + 1:
-            break  # the ladder is sorted by approx
-        if approx > bound - 1 and spec.order() > budget.max_order:
-            continue
-        out.append(spec)
-        if len(out) >= budget.max_specs:
-            break
-    return out
+    ladder = _ladder(d)
+    walk = list(ladder.walk(budget))
+    specs = ladder.built(walk[-1] + 1 if walk else 0)
+    return [specs[j] for j in walk]
 
 
 _LETTERS = "tabTAB"
@@ -201,17 +264,19 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
     """Interleave conjugator-word search with finite-quotient separation.
 
     Phase L walks the words of length L as a tree (see _word_phase), then
-    the next _CHUNK specs are tried, until both walks run out. The first
-    conjugating word and the first separating quotient are exact
+    the next _CHUNK positions of the ladder walk are tried, each spec
+    built when the walk first reaches it, until both walks run out. The
+    first conjugating word and the first separating quotient are exact
     witnesses, whichever comes first is returned.
     """
     z = g_mul(g1, g_inv(g2))
-    specs = spec_stream(d, budget)
-    spec_pos = 0
+    ladder = _ladder(d)
+    walk = ladder.walk(budget)
+    more_specs = True
     words_done = 0
     quotients = 0
     length = 0
-    while length <= budget.max_conj_len or spec_pos < len(specs):
+    while length <= budget.max_conj_len or more_specs:
         if length <= budget.max_conj_len:
             word, reached = _word_phase(g1, g2, d, length)
             words_done += reached
@@ -220,7 +285,10 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
                                        quotients_tested=quotients,
                                        conjugators_tested=words_done)
             length += 1
-        for spec in specs[spec_pos:spec_pos + _CHUNK]:
+        chunk = list(islice(walk, _CHUNK))
+        more_specs = len(chunk) == _CHUNK
+        for j in chunk:
+            spec = ladder.built(j + 1)[j]
             quotients += 1
             fq = spec.folded()
             if fq.image_is_trivial(z):
@@ -237,20 +305,31 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
                                        witness_order=spec.order(),
                                        quotients_tested=quotients,
                                        conjugators_tested=words_done)
-        spec_pos = min(spec_pos + _CHUNK, len(specs))
     return McKinseyOutcome("budget-exhausted",
                            quotients_tested=quotients,
                            conjugators_tested=words_done)
 
 
 def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
-    """Order of the first streamed quotient in which c_{2^i} survives,
-    or None when the budget runs out first. Survival is read off the
-    c-moduli (FiniteQuotientSpec.c_survives), so the walk builds no
-    folded arithmetic."""
-    for spec in spec_stream(d, budget):
-        if spec.c_survives(2 ** i):
-            return spec.order()
+    """Order of the first quotient of spec_stream(d, budget) in which
+    c_{2^i} survives, or None when the budget runs out first.
+
+    The walk reads survival off the ladder's bounds: c_{2^i} folds onto
+    k = c_fold(2^i, I) and survives in Q(I, m) exactly when k != 0 and
+    gcd(m, B(k)) != 1 (FiniteQuotientSpec.c_survives). The order of the
+    winner is the closed form on its moduli, so the walk builds no spec.
+    """
+    ladder = _ladder(d)
+    # B(k) of the fold of c_{2^i} per I, 1 where it folds onto c_0 = 1
+    fold_bounds = []
+    for I, bounds in zip(I_LADDER, ladder.bounds):
+        k = c_fold(2 ** i, I)
+        fold_bounds.append(bounds[k - 1] if k else 1)
+    pos, width = ladder.pos, len(_MS)
+    for j in ladder.walk(budget):
+        x, y = divmod(pos[j], width)
+        if gcd(_MS[y], fold_bounds[x]) != 1:
+            return ladder.order(j)
     return None
 
 
@@ -266,7 +345,8 @@ def growth_table(d, i_values, budget: SearchBudget = SearchBudget()):
     """One row per i: the length of the standard word spelling c_{2^i},
     the order of the smallest streamed quotient separating it from the
     identity, and the wall time of the direct conjugacy decision on the
-    pair (a_0, a_0 c_{2^i})."""
+    pair (a_0, a_0 c_{2^i}). The witness orders come from rf_witness_order,
+    so a fresh d pays the float keys of its ladder and builds no spec."""
     rows = []
     for i in i_values:
         k = 2 ** i

@@ -21,13 +21,17 @@ the whole coordinate layer.
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from conjlab.extension import GElement, g_conj, g_mul, parse_word
 from conjlab.nilpotent import DElement, d_element, d_inv, d_mul
-from conjlab.sepfunc import from_table, constant_prime, nth_prime
+from conjlab.quotients import c_bounds, spec_from_bounds
+from conjlab.search import I_LADDER
+from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
+    parse_d_spec
 from conjlab.tables import MAX_TABLE_ORDER, FiniteGroupTable
 
 settings.register_profile(
@@ -288,6 +292,45 @@ def from_quotient_spec(spec) -> FiniteGroupTable:
     beta = index[frozen(fq.from_parts(b={0: 1}))]
     tau = index[frozen(fq.from_parts(t=1))]
     return FiniteGroupTable(table, alpha, beta, tau)
+
+
+# ------------------------------------------------------- the quotient ladder
+
+REPO = Path(__file__).resolve().parents[1]
+# eventually constant (two tables, a constant), strictly increasing, and
+# program-backed without metadata
+D_SPECS = ["table:2,31,127,1021,8191", "table:2,3,5", "constant:3",
+           "nth-prime", "program:scripts/programs/linear.rm"]
+
+
+def load_d(d_spec):
+    """parse_d_spec, with a program path taken from the repository root."""
+    if d_spec.startswith("program:"):
+        d_spec = f"program:{REPO / d_spec[len('program:'):]}"
+    return parse_d_spec(d_spec)
+
+
+def prime_powers_up_to(cap):
+    out = []
+    for p in range(2, cap + 1):
+        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+            q = p
+            while q <= cap:
+                out.append(q)
+                q *= p
+    return out
+
+
+def eager_ladder(d):
+    """Every spec of the grid I_LADDER x prime powers up to 8192, built
+    and sorted by (log2_order, I, m): the reference for the order in
+    which search walks its lazy ladder."""
+    ms = prime_powers_up_to(8192)
+    specs = [spec_from_bounds(I, m, c_bounds(I, d))
+             for I in I_LADDER for m in ms]
+    specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
+                              s.exponent_modulus))
+    return specs
 
 
 # ------------------------------------------------------------------ fixtures

@@ -4,7 +4,6 @@ orders, and agreement between exhaustive and algebraic conjugacy."""
 import math
 import random
 from copy import deepcopy
-from pathlib import Path
 
 import pytest
 
@@ -21,25 +20,11 @@ from conjlab.quotients import (
     required_c_modulus,
 )
 from conjlab.search import SearchBudget, spec_stream
-from conjlab.sepfunc import constant_prime, from_table, nth_prime, \
-    parse_d_spec
+from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
-from conftest import letters_to_g, random_letters
+from conftest import D_SPECS, letters_to_g, load_d, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
-
-REPO = Path(__file__).resolve().parents[1]
-# eventually constant (two tables, a constant), strictly increasing, and
-# program-backed without metadata
-D_SPECS = ["table:2,31,127,1021,8191", "table:2,3,5", "constant:3",
-           "nth-prime", "program:scripts/programs/linear.rm"]
-
-
-def load_d(d_spec):
-    """parse_d_spec, with a program path taken from the repository root."""
-    if d_spec.startswith("program:"):
-        d_spec = f"program:{REPO / d_spec[len('program:'):]}"
-    return parse_d_spec(d_spec)
 
 
 # ------------------------------------------------------------ index folding
@@ -365,7 +350,7 @@ def test_exact_matches_exhaustive_on_q22():
 def test_exact_matches_exhaustive_on_streamed_specs(d_spec):
     # every quotient the search walks below order 4096, on conjugates,
     # central translates of conjugates and abelianization perturbations
-    d = parse_d_spec(d_spec)
+    d = load_d(d_spec)
     rng = random.Random(d_spec)
     specs = spec_stream(d, SearchBudget(max_order=4096))
     assert len(specs) == 11

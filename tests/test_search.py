@@ -5,7 +5,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from conftest import letters_to_g, random_letters
+from conftest import D_SPECS, eager_ladder, letters_to_g, load_d, \
+    prime_powers_up_to, random_letters
 
 from conjlab import search
 from conjlab.conjugacy import conjugacy_decide
@@ -13,8 +14,8 @@ from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
     g_t, parse_word
 from conjlab.machine import parse_program
 from conjlab.nilpotent import central_c, d_mul, generator_a
-from conjlab.quotients import make_spec, quotient_is_well_defined, \
-    required_c_modulus
+from conjlab.quotients import FiniteQuotientSpec, make_spec, \
+    quotient_is_well_defined, required_c_modulus
 from conjlab.search import (
     I_LADDER,
     SearchBudget,
@@ -29,15 +30,22 @@ from conjlab.sepfunc import constant_prime, fast_majorant, from_table, \
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
 
-def prime_powers_up_to(cap):
-    out = []
-    for p in range(2, cap + 1):
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
-            q = p
-            while q <= cap:
-                out.append(q)
-                q *= p
-    return out
+def grid_ids(specs):
+    return [(s.index_modulus, s.exponent_modulus, s.c_moduli) for s in specs]
+
+
+@pytest.fixture
+def spec_builds(monkeypatch):
+    """A list that grows by one for every FiniteQuotientSpec built."""
+    built = []
+    check = FiniteQuotientSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec)
+        check(spec)
+
+    monkeypatch.setattr(FiniteQuotientSpec, "__post_init__", counted)
+    return built
 
 
 # ------------------------------------------------------------- spec stream
@@ -91,6 +99,39 @@ def test_spec_stream_matches_filtered_walk(budget):
     out.reverse()
     out.append(None)
     assert spec_stream(D_TABLE, budget) == expected
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_lazy_ladder_matches_eager_reference(d_spec):
+    d = load_d(d_spec)
+    assert grid_ids(spec_stream(d, SearchBudget())) == \
+        grid_ids(eager_ladder(d))
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_ladder_keys_are_log2_orders(d_spec):
+    ladder = search._ladder(load_d(d_spec))
+    specs = ladder.built(len(ladder.keys))
+    for j, (key, spec) in enumerate(zip(ladder.keys, specs)):
+        assert key.hex() == spec.log2_order().hex(), spec
+        if j % 61 == 0:  # exact orders reach 2^80000; a sample suffices
+            assert ladder.order(j) == spec.order(), spec
+
+
+WITNESS_BUDGETS = [SearchBudget()] + \
+    [SearchBudget(max_specs=n) for n in (1, 4430, 4431, 11908, 11909)] + \
+    [SearchBudget(max_order=n) for n in (2047, 2048, 10 ** 6, 2 ** 600)]
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_rf_witness_order_is_first_survivor(d_spec):
+    d = load_d(d_spec)
+    for budget in WITNESS_BUDGETS:
+        specs = spec_stream(d, budget)
+        for i in range(5):
+            first = next((s for s in specs if s.c_survives(2 ** i)), None)
+            assert rf_witness_order(i, d, budget) == \
+                (first and first.order()), (budget, i)
 
 
 # --------------------------------------------------------------- mckinsey
@@ -275,9 +316,24 @@ def test_rf_witness_orders():
     assert rf_witness_order(1, D_TABLE, SearchBudget(max_order=10 ** 6)) is None
 
 
+def test_growth_table_builds_at_most_one_spec_per_row(spec_builds):
+    rows = growth_table(parse_d_spec("table:2,31,127,1021,8191"), range(5))
+    assert [r.witness_order.bit_length() for r in rows] == \
+        [12, 548, 2891, 15959, 46116]
+    assert len(spec_builds) <= len(rows)
+
+
+def test_cold_mckinsey_builds_the_specs_it_tests(spec_builds):
+    out = mckinsey_search(parse_word("a[0]"), parse_word("a[0] c[1]"),
+                          parse_d_spec("table:2,31,127,1021,8191"))
+    assert out.verdict == "non-conjugate"
+    assert out.quotients_tested == 9
+    assert len(spec_builds) <= out.quotients_tested + search._CHUNK
+
+
 def test_cold_growth_table_memory():
-    # a fresh d pays its whole spec ladder; the witness walk must not
-    # leave folded arithmetic behind for each of the ~13k specs it reads
+    # a fresh d pays the float keys of its ladder, not its ~13k specs;
+    # the witness walk builds no folded arithmetic
     tracemalloc.start()
     try:
         rows = growth_table(parse_d_spec("table:2,31,127,1021,8191"), range(5))
@@ -286,7 +342,7 @@ def test_cold_growth_table_memory():
         tracemalloc.stop()
     assert [r.witness_order.bit_length() for r in rows] == \
         [12, 548, 2891, 15959, 46116]
-    assert peak < 64 * 2 ** 20
+    assert peak < 4 * 2 ** 20  # 1.0 MiB measured
 
 
 def test_growth_table_rows():
