@@ -17,6 +17,7 @@ Example:
 import argparse
 import math
 
+from conjlab.cli import DEFAULT_D
 from conjlab.search import SearchBudget, growth_table
 from conjlab.sepfunc import parse_d_spec
 
@@ -24,8 +25,9 @@ from conjlab.sepfunc import parse_d_spec
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("i_max", type=int, nargs="?", default=3)
-    ap.add_argument("--d", default="table:2,31,127,1021,8191")
-    ap.add_argument("--max-specs", type=int, default=20000)
+    ap.add_argument("--d", default=DEFAULT_D)
+    ap.add_argument("--max-specs", type=int,
+                    default=SearchBudget().max_specs)
     args = ap.parse_args()
 
     d = parse_d_spec(args.d)

@@ -28,14 +28,13 @@ from .nilpotent import (
     _acc,
     _clean,
     _mul_correction,
+    _surviving_c,
     d_identity,
     d_inv,
     d_mul,
-    is_identity_d,
     is_in_C,
     is_in_derived,
     phi_shift,
-    power_of_two_exponent,
 )
 
 
@@ -164,10 +163,10 @@ def solve_twisted_abelian(delta_a: dict, delta_b: dict, n_t: int):
     h - shift(h by n_t) = delta, or None. The solution is unique."""
     if n_t == 0:
         raise ValueError("the twist must be nontrivial")
-    ha = _solve_chain({p: v for p, v in delta_a.items() if v}, n_t)
+    ha = _solve_chain(delta_a, n_t)
     if ha is None:
         return None
-    hb = _solve_chain({p: v for p, v in delta_b.items() if v}, n_t)
+    hb = _solve_chain(delta_b, n_t)
     if hb is None:
         return None
     return ha, hb
@@ -395,7 +394,7 @@ def _conj_twisted(h1: DElement, h2: DElement, n_t: int):
             raise AssertionError("abelianized twisted stage went astray")
         rn, hn = _nonc(r), _nonc(h2)
         delta = {key: rn.get(key, 0) - hn.get(key, 0) for key in set(rn) | set(hn)}
-        dd = solve_twisted_derived({k: v for k, v in delta.items() if v}, n_t)
+        dd = solve_twisted_derived(delta, n_t)
         if dd is None:
             continue
         h = d_mul(h0, DElement({}, {}, _clean(dd)))
@@ -443,20 +442,6 @@ class ConjugacyCertificate:
         return self.reason
 
 
-def _first_obstruction(delta: DElement, d):
-    for key in sorted(delta.derived):
-        gamma = delta.derived[key]
-        if not gamma:
-            continue
-        k = key[1]
-        j = power_of_two_exponent(k)
-        if j is None:
-            return k, gamma
-        if d.at_least(j, abs(gamma) + 1) or gamma % d.value(j):
-            return k, gamma
-    raise AssertionError("no obstruction in a nontrivial central element")
-
-
 def conjugacy_decide(g1: GElement, g2: GElement, d) -> ConjugacyCertificate:
     """Decide conjugacy and return a certificate.
 
@@ -471,8 +456,8 @@ def conjugacy_decide(g1: GElement, g2: GElement, d) -> ConjugacyCertificate:
     delta = g_mul(g_conj(g1, witness), g_inv(g2))
     if delta.t_exp != 0 or not is_in_C(delta.d_part):
         raise AssertionError("mod-centre witness left a non-central residue")
-    if is_identity_d(delta.d_part, d):
+    survivor = _surviving_c(delta.d_part, d)
+    if survivor is None:
         return ConjugacyCertificate("conjugate", witness=witness)
-    k, gamma = _first_obstruction(delta.d_part, d)
     return ConjugacyCertificate("non-conjugate", reason=REASON_CENTRAL,
-                                obstruction=(k, gamma))
+                                obstruction=survivor)

@@ -255,25 +255,27 @@ def is_in_C(x: DElement) -> bool:
     return is_in_derived(x) and all(key[0] == "C" for key in x.derived)
 
 
-def is_identity_d(x: DElement, d) -> bool:
-    """Triviality test under the relators c_{2^j}^{d(j)}.
+def _surviving_c(x: DElement, d):
+    """The first (k, gamma), by ascending k, of a central element x whose
+    c_k^gamma survives the relators c_{2^j}^{d(j)}, or None when every
+    coordinate dies.
 
-    A C coordinate gamma at index 2^j vanishes exactly when d(j) divides
-    gamma. The cheap budgeted query d.at_least(j, |gamma|+1) settles the
-    frequent case d(j) > |gamma| without ever computing d(j).
+    A coordinate gamma at index 2^j dies exactly when d(j) divides gamma.
+    The cheap budgeted query d.at_least(j, |gamma|+1) settles the frequent
+    case d(j) > |gamma| without ever computing d(j).
     """
-    if x.a_part or x.b_part:
-        return False
     for key in sorted(x.derived):
-        if key[0] != "C":
-            return False
         gamma = x.derived[key]
-        j = power_of_two_exponent(key[1])
-        if j is None:
-            return False
-        if d.at_least(j, abs(gamma) + 1):
-            return False
-        if gamma % d.value(j) != 0:
-            return False
-    return True
+        if not gamma:
+            continue
+        k = key[1]
+        j = power_of_two_exponent(k)
+        if j is None or d.at_least(j, abs(gamma) + 1) or gamma % d.value(j):
+            return k, gamma
+    return None
 
+
+def is_identity_d(x: DElement, d) -> bool:
+    """Triviality test under the relators c_{2^j}^{d(j)}: x is central and
+    no coordinate survives (_surviving_c)."""
+    return is_in_C(x) and _surviving_c(x, d) is None

@@ -23,17 +23,19 @@ moduli under which the folded coordinates form no group: one that does
 not divide m, or one at k = I/2 that does not divide 2. FoldedQuotient
 is built only from a spec, so its arithmetic is always a group.
 
-Element form: (a, b, nonc, c, t). a and b map residues 0..I-1, and nonc
-the folded basis keys AA(i<j), AB(i<=j), BB(i<j), to exponents mod m; c
-maps each canonical index k with M(k) > 1 to its exponent mod M(k); t is
-the t-exponent mod I. The dicts hold only nonzero, reduced coordinates,
-so equal elements compare equal and no operation pays for the O(I^2)
-full layout. Elements are values: no operation mutates its arguments,
-and a caller that needs a hashable key freezes the dicts itself. A
-FiniteQuotientSpec builds its FoldedQuotient on first use and keeps it,
-so the folded arithmetic lives exactly as long as the spec. Its order is
-the closed formula quotient_order(I, m, moduli), which the search ladder
-also reads without building a spec.
+Element form: (a, b, derived, t), the coordinates of D folded. a and b
+map residues 0..I-1 to exponents mod m. derived is keyed as
+DElement.derived: the folded basis keys AA(i<j), AB(i<=j), BB(i<j) map
+to exponents mod m, and each central key ("C", k) with k in 1..I//2 and
+M(k) > 1 to its exponent mod M(k). t is the t-exponent mod I. The dicts
+hold only nonzero, reduced coordinates, so equal elements compare equal
+and no operation pays for the O(I^2) full layout. Elements are values:
+no operation mutates its arguments, and a caller that needs a hashable
+key freezes the dicts itself. A FiniteQuotientSpec stores its moduli
+flat, (M(1), ..., M(I//2)), builds its FoldedQuotient on first use and
+keeps it, so the folded arithmetic lives exactly as long as the spec.
+Its order is the closed formula quotient_order(I, m, moduli), which the
+search ladder also reads without building a spec.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order. finite_conjugate
@@ -72,64 +74,60 @@ def _fold_key(I, key, coeff, shift=0):
 class FoldedQuotient:
     """Arithmetic of the elements of one validated FiniteQuotientSpec.
 
-    m is the a/b/non-central exponent modulus; c_mod maps each k in
-    1..I//2 to its modulus. Indices with modulus 1 never appear in an
-    element.
+    m is the a/b/non-central exponent modulus; c_mod maps each central
+    key ("C", k) with M(k) > 1 to M(k). A central index of modulus 1 is
+    not in c_mod and never appears in an element.
     """
 
     def __init__(self, spec: FiniteQuotientSpec):
         self.I = spec.index_modulus
         self.m = spec.exponent_modulus
-        self.c_mod = dict(spec.c_moduli)
+        self.c_mod = {("C", k): mod
+                      for k, mod in enumerate(spec.c_moduli, 1) if mod > 1}
 
-    def _acc_exp(self, dest, key, v):
-        v = (dest.get(key, 0) + v) % self.m
+    @staticmethod
+    def _acc_exp(dest, key, v, mod):
+        v = (dest.get(key, 0) + v) % mod
         if v:
             dest[key] = v
         else:
             dest.pop(key, None)
 
-    def _acc_c(self, dest, k, v):
-        mod = self.c_mod[k]
-        if mod == 1:
-            return
-        v = (dest.get(k, 0) + v) % mod
-        if v:
-            dest[k] = v
-        else:
-            dest.pop(k, None)
-
-    def _acc_terms(self, nonc, cc, terms):
+    def _acc_terms(self, der, terms):
         """Add (basis key, coefficient) pairs whose a/b indices are already
-        folded. This is where a central index k folds into 1..I//2, through
-        c_0 = 1 and c_{I-k} = c_k^{-1}."""
-        I = self.I
+        folded into the derived dict der, and return der. This is where a
+        central index folds into 1..I//2, through c_0 = 1 and
+        c_{I-k} = c_k^{-1}."""
+        I, m, c_mod = self.I, self.m, self.c_mod
         for key, v in terms:
-            if key[0] != "C":
-                self._acc_exp(nonc, key, v)
-                continue
-            k = key[1] % I
-            if k == 0:
-                continue
-            if 2 * k > I:
-                k, v = I - k, -v
-            self._acc_c(cc, k, v)
+            mod = m
+            if key[0] == "C":
+                k = key[1] % I
+                if 2 * k > I:
+                    key, v = ("C", I - k), -v
+                elif k != key[1]:
+                    key = ("C", k)
+                mod = c_mod.get(key)
+                if mod is None:
+                    continue
+            self._acc_exp(der, key, v, mod)
+        return der
 
     def _srot(self, x, shift):
         """t^shift x t^-shift: the a/b indices of x move up by shift."""
-        shift %= self.I
+        I = self.I
+        shift %= I
         if shift == 0:
             return x
-        a, b, nonc, cc, t = x
-        ra = {(i + shift) % self.I: v for i, v in a.items()}
-        rb = {(i + shift) % self.I: v for i, v in b.items()}
-        rn: dict = {}
-        rc = dict(cc)
-        for key, v in nonc.items():
-            self._acc_terms(rn, rc, _fold_key(self.I, key, v, shift))
+        a, b, der, t = x
+        ra = {(i + shift) % I: v for i, v in a.items()}
+        rb = {(i + shift) % I: v for i, v in b.items()}
+        rd: dict = {}
+        for key, v in der.items():
+            self._acc_terms(rd, _fold_key(I, key, v, shift))
         # rotation wraps the tail of each ascending block to the front;
         # every wrapped factor re-sorts past every unwrapped one
-        wrap = self.I - shift
+        wrap = I - shift
         for terms, block in ((aa_terms, a), (bb_terms, b)):
             for i, e in block.items():
                 if i < wrap:
@@ -137,64 +135,55 @@ class FoldedQuotient:
                 for j, f in block.items():
                     if j >= wrap:
                         continue
-                    self._acc_terms(rn, rc, terms(j + shift,
-                                                  (i + shift) % self.I, e * f))
-        return ra, rb, rn, rc, t
+                    self._acc_terms(rd, terms(j + shift, (i + shift) % I,
+                                              e * f))
+        return ra, rb, rd, t
 
     def _smul(self, x, y):
-        xa, xb, xn, xc, xt = x
-        ra, rb, rn, rc, yt = self._srot(y, xt)
+        xa, xb, xd, xt = x
+        ra, rb, rd, yt = self._srot(y, xt)
+        m = self.m
         a = dict(xa)
         for i, v in ra.items():
-            self._acc_exp(a, i, v)
+            self._acc_exp(a, i, v, m)
         b = dict(xb)
         for i, v in rb.items():
-            self._acc_exp(b, i, v)
-        nonc = dict(xn)
-        cc = dict(xc)
-        for key, v in rn.items():
-            self._acc_exp(nonc, key, v)
-        for k, v in rc.items():
-            self._acc_c(cc, k, v)
-        self._acc_terms(nonc, cc, _mul_correction(xa, xb, ra, rb).items())
-        return a, b, nonc, cc, (xt + yt) % self.I
+            self._acc_exp(b, i, v, m)
+        der = self._acc_terms(dict(xd), rd.items())
+        self._acc_terms(der, _mul_correction(xa, xb, ra, rb).items())
+        return a, b, der, (xt + yt) % self.I
 
     def _sinv(self, x):
-        xa, xb, xn, xc, xt = x
-        dn: dict = {}
-        dc: dict = {}
+        xa, xb, xd, xt = x
         # as in d_inv: -corr(x, x^-1) = corr(x, x) by bilinearity
-        self._acc_terms(dn, dc, _mul_correction(xa, xb, xa, xb).items())
-        self._acc_terms(dn, dc, ((key, -v) for key, v in xn.items()))
-        for k, v in xc.items():
-            self._acc_c(dc, k, -v)
+        der = self._acc_terms({}, _mul_correction(xa, xb, xa, xb).items())
+        self._acc_terms(der, ((key, -v) for key, v in xd.items()))
         m = self.m
         na = {i: -v % m for i, v in xa.items()}
         nb = {i: -v % m for i, v in xb.items()}
-        return self._srot((na, nb, dn, dc, -xt % self.I), -xt)
+        return self._srot((na, nb, der, -xt % self.I), -xt)
 
     def _simage(self, g: GElement):
         """Image of a group element. Generator factors are pushed through
         one at a time in ascending index order so the folded reordering
         corrections are picked up exactly."""
-        acc = ({}, {}, {}, {}, 0)
+        acc = ({}, {}, {}, 0)
         h = g.d_part
         for i in sorted(h.a_part):
             e = h.a_part[i] % self.m
             if e:
-                acc = self._smul(acc, ({i % self.I: e}, {}, {}, {}, 0))
+                acc = self._smul(acc, ({i % self.I: e}, {}, {}, 0))
         for i in sorted(h.b_part):
             e = h.b_part[i] % self.m
             if e:
-                acc = self._smul(acc, ({}, {i % self.I: e}, {}, {}, 0))
-        nonc: dict = {}
-        cc: dict = {}
+                acc = self._smul(acc, ({}, {i % self.I: e}, {}, 0))
+        der: dict = {}
         for key, v in h.derived.items():
-            self._acc_terms(nonc, cc, _fold_key(self.I, key, v))
-        if nonc or cc:
-            acc = self._smul(acc, ({}, {}, nonc, cc, 0))
+            self._acc_terms(der, _fold_key(self.I, key, v))
+        if der:
+            acc = self._smul(acc, ({}, {}, der, 0))
         if g.t_exp % self.I:
-            acc = self._smul(acc, ({}, {}, {}, {}, g.t_exp % self.I))
+            acc = self._smul(acc, ({}, {}, {}, g.t_exp % self.I))
         return acc
 
     # The helpers above call one another, never these public names, so a
@@ -205,40 +194,37 @@ class FoldedQuotient:
     image = _simage
 
     def identity(self):
-        return {}, {}, {}, {}, 0
+        return {}, {}, {}, 0
 
     def from_parts(self, a=None, b=None, derived=None, t=0):
         """Element from residue-indexed coordinate dicts (already folded)."""
         m = self.m
-        nonc: dict = {}
-        cc: dict = {}
-        self._acc_terms(nonc, cc, (derived or {}).items())
         return ({i: v % m for i, v in (a or {}).items() if v % m},
                 {i: v % m for i, v in (b or {}).items() if v % m},
-                nonc, cc, t % self.I)
+                self._acc_terms({}, (derived or {}).items()), t % self.I)
 
     def conj(self, x, g):
         return self.mul(self.inv(g), self.mul(x, g))
 
     def image_is_trivial(self, g: GElement) -> bool:
-        a, b, nonc, cc, t = self._simage(g)
-        return not (a or b or nonc or cc or t)
+        a, b, der, t = self._simage(g)
+        return not (a or b or der or t)
 
     def elements(self):
-        """Every element, in the lexicographic order of (t, a, b, nonc, c)
-        over the sorted full layout; the reference enumeration."""
+        """Every element, in the lexicographic order of (t, a, b, derived)
+        over the sorted full layout, central keys last; the reference
+        enumeration."""
         I, m = self.I, self.m
         pairs = [(i, j) for i in range(I) for j in range(i, I)]
         basis = sorted([("AA", i, j) for i, j in pairs if i < j]
                        + [("BB", i, j) for i, j in pairs if i < j]
                        + [("AB", i, j) for i, j in pairs])
-        c_keys = [k for k, mod in self.c_mod.items() if mod != 1]
         slots = ([(0, i) for i in range(I)] + [(1, i) for i in range(I)]
-                 + [(2, key) for key in basis] + [(3, k) for k in c_keys])
-        mods = [m] * (2 * I + len(basis)) + [self.c_mod[k] for k in c_keys]
+                 + [(2, key) for key in basis + list(self.c_mod)])
+        mods = [m] * (2 * I + len(basis)) + list(self.c_mod.values())
         for t in range(I):
             for values in product(*map(range, mods)):
-                parts: tuple = ({}, {}, {}, {})
+                parts: tuple = ({}, {}, {})
                 for (part, key), v in zip(slots, values):
                     if v:
                         parts[part][key] = v
@@ -340,16 +326,15 @@ def required_c_modulus(I: int, k: int, m: int, d) -> int:
 class FiniteQuotientSpec:
     index_modulus: int
     exponent_modulus: int
-    c_moduli: tuple  # ((k, M(k)) for k = 1..I//2)
+    c_moduli: tuple  # (M(1), ..., M(I//2))
 
     def __post_init__(self):
         I, m = self.index_modulus, self.exponent_modulus
         if I < 1 or m < 2:
             raise ValueError("need I >= 1 and m >= 2")
-        ks = [k for k, _ in self.c_moduli]
-        if ks != list(range(1, I // 2 + 1)):
-            raise ValueError("c_moduli must list k = 1..I//2 in order")
-        for k, mod in self.c_moduli:
+        if len(self.c_moduli) != I // 2:
+            raise ValueError("c_moduli must hold M(k) for k = 1..I//2")
+        for k, mod in enumerate(self.c_moduli, 1):
             if mod < 1:
                 raise ValueError("moduli must be positive")
             # otherwise the folded coordinates do not multiply as a group
@@ -360,18 +345,6 @@ class FiniteQuotientSpec:
 
     def name(self) -> str:
         return f"Q(I={self.index_modulus},m={self.exponent_modulus})"
-
-    def c_modulus(self, k: int) -> int:
-        if not 1 <= k <= self.index_modulus // 2:
-            raise ValueError("k must lie in 1..I//2")
-        return self.c_moduli[k - 1][1]
-
-    def c_survives(self, n: int) -> bool:
-        """Whether the central generator c_n maps to a nontrivial element:
-        it folds onto k = c_fold(n, I), and survives exactly when k != 0
-        and M(k) != 1. Needs no folded arithmetic."""
-        k = c_fold(n, self.index_modulus)
-        return k != 0 and self.c_modulus(k) != 1
 
     @cached_property
     def _folded(self) -> FoldedQuotient:
@@ -384,17 +357,18 @@ class FiniteQuotientSpec:
 
     def order(self) -> int:
         return quotient_order(self.index_modulus, self.exponent_modulus,
-                              [mod for _, mod in self.c_moduli])
+                              self.c_moduli)
 
-    def log2_order(self) -> float:
-        return quotient_order(self.index_modulus, self.exponent_modulus,
-                              [mod for _, mod in self.c_moduli], log2=True)
+
+def c_moduli_from_bounds(m: int, bounds) -> tuple:
+    """The largest legitimate c-moduli gcd(m, B(k)), k = 1..I//2, of
+    Q(I, m), with bounds = c_bounds(I, d)."""
+    return tuple(map(math.gcd, repeat(m), bounds))
 
 
 def spec_from_bounds(I: int, m: int, bounds) -> FiniteQuotientSpec:
-    """Q(I, m) with the c-moduli gcd(m, B(k)) read from c_bounds(I, d)."""
-    return FiniteQuotientSpec(
-        I, m, tuple(enumerate(map(math.gcd, repeat(m), bounds), 1)))
+    """Q(I, m) with the c-moduli read from c_bounds(I, d)."""
+    return FiniteQuotientSpec(I, m, c_moduli_from_bounds(m, bounds))
 
 
 def make_spec(I: int, m: int, d) -> FiniteQuotientSpec:
@@ -407,8 +381,8 @@ def quotient_is_well_defined(spec: FiniteQuotientSpec, d) -> bool:
     modulus must divide the gcd of everything folding onto its index."""
     m = spec.exponent_modulus
     return all(math.gcd(m, b) % declared == 0
-               for (_, declared), b in zip(spec.c_moduli,
-                                           c_bounds(spec.index_modulus, d)))
+               for declared, b in zip(spec.c_moduli,
+                                      c_bounds(spec.index_modulus, d)))
 
 
 def finite_conjugate(x, y, spec: FiniteQuotientSpec) -> bool:
@@ -455,16 +429,6 @@ def _orbit_chain_solve(delta, s, I, m):
     return {p: v for p, v in enumerate(h) if v}, orbits
 
 
-def _coords(fq, nonc, cc, terms):
-    """One coordinate dict over the non-central keys and the central keys
-    ("C", k), from the nonc and c parts of an element plus (basis key,
-    coefficient) terms folded into them."""
-    nonc, cc = dict(nonc), dict(cc)
-    fq._acc_terms(nonc, cc, terms)
-    nonc.update((("C", k), v) for k, v in cc.items())
-    return nonc
-
-
 def _orbit_closure(fq, key, s):
     """The rotation orbit of a non-central key under shifts by +-s, plus
     every central key of modulus > 1 those rotations touch."""
@@ -477,7 +441,7 @@ def _orbit_closure(fq, key, s):
             continue
         nonc.add(cur)
         for shift in (s, -s):
-            for nk in _coords(fq, {}, {}, _fold_key(fq.I, cur, 1, shift)):
+            for nk in fq._acc_terms({}, _fold_key(fq.I, cur, 1, shift)):
                 if nk[0] == "C":
                     cs.add(nk)
                 elif nk not in nonc:
@@ -500,9 +464,9 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     I, m = spec.index_modulus, spec.exponent_modulus
     if x == y:
         return True
-    if x[4] != y[4]:
+    if x[3] != y[3]:
         return False
-    s = x[4]
+    s = x[3]
     # x centralises itself, so g and x g conjugate x alike, and their
     # t-powers differ by s: the t-powers mod gcd(s, I) cover every class
     for n in range(math.gcd(s, I)):
@@ -535,7 +499,7 @@ def _minus(fq, y, x):
     """y - x on one dict of exponents mod m."""
     out = dict(y)
     for key, v in x.items():
-        fq._acc_exp(out, key, -v)
+        fq._acc_exp(out, key, -v, fq.m)
     return out
 
 
@@ -563,11 +527,7 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     abelianization plus the central cost of rotating the generator
     itself, so the whole stage stays one integer linear system. Returns
     (kappa element, derived coordinate dict) or None."""
-    I, m = fq.I, fq.m
-
-    def key_mod(key):
-        return m if key[0] != "C" else fq.c_mod[key[1]]
-
+    I, m, c_mod = fq.I, fq.m, fq.c_mod
     ma, mb = mid[0], mid[1]
     kappa_cols = []
     orbit_gens = []
@@ -576,16 +536,15 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
             ones = dict.fromkeys(orbit, 1)
             xi_a, xi_b = (ones, {}) if family == "a" else ({}, ones)
             gen = fq.from_parts(a=xi_a, b=xi_b)
-            wa, wb, wn, wc, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
+            wa, wb, wd, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
             if wa or wb:
                 raise AssertionError("orbit generator rotation left the centre")
             terms = commutator_bilinear(ma, mb, xi_a, xi_b).items()
             orbit_gens.append(gen)
-            kappa_cols.append(_coords(fq, wn, wc, terms))
+            kappa_cols.append(fq._acc_terms(wd, terms))
 
-    minus_mid = [(key, -v) for key, v in mid[2].items()]
-    minus_mid += [(("C", k), -v) for k, v in mid[3].items()]
-    rhs_keys = _coords(fq, y[2], y[3], minus_mid)
+    rhs_keys = fq._acc_terms(dict(y[2]),
+                             ((key, -v) for key, v in mid[2].items()))
 
     seeds = set(rhs_keys)
     for col in kappa_cols:
@@ -621,13 +580,13 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     for c, key in enumerate(delta_cols):
         # conjugating by the derived part contributes (rotate by s) - id
         rows[row_pos[key]][base + c] -= 1
-        for nk, v in _coords(fq, {}, {}, _fold_key(I, key, 1, s)).items():
+        for nk, v in fq._acc_terms({}, _fold_key(I, key, 1, s)).items():
             # centred: -1 rather than its reduced form mod - 1 keeps the
             # numbers in hnf_solve small (twice as fast at I = 16)
-            mod = key_mod(nk)
+            mod = c_mod.get(nk, m)
             rows[row_pos[nk]][base + c] += v - mod if 2 * v > mod else v
     for r, key in enumerate(row_keys):
-        rows[r][slack + r] = key_mod(key)
+        rows[r][slack + r] = c_mod.get(key, m)
 
     solution = hnf_solve(IntegerLinearSystem(tuple(tuple(r) for r in rows),
                                              tuple(rhs)))

@@ -61,8 +61,8 @@ from .extension import (
 )
 from .nilpotent import central_c, d_mul, generator_a
 from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
-    quotient_conjugate_exact, quotient_is_well_defined, quotient_order, \
-    spec_from_bounds
+    c_moduli_from_bounds, quotient_conjugate_exact, quotient_is_well_defined, \
+    quotient_order, spec_from_bounds
 
 I_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
@@ -114,12 +114,12 @@ class _Ladder:
 
     bounds[x] is c_bounds(I_LADDER[x], d). Walk position j holds the grid
     position pos[j] = x * len(_MS) + y of Q(I_LADDER[x], _MS[y]) and its
-    key keys[j], the float log2 order, computed by the same
-    quotient_order call as FiniteQuotientSpec.log2_order() and so equal
-    to it bit for bit. Grid positions ascend with (I, m), so a stable
-    sort by key walks in (key, I, m) order. specs is the prefix of the
-    walk built so far: a spec is built when a walk first reaches it and
-    is kept, with its folded arithmetic, as long as the ladder.
+    key keys[j], the float log2 order: quotient_order(I, m, moduli,
+    log2=True) on the spec's own moduli, so equal bit for bit to that
+    call on the built spec. Grid positions ascend with (I, m), so a
+    stable sort by key walks in (key, I, m) order. specs is the prefix of
+    the walk built so far: a spec is built when a walk first reaches it
+    and is kept, with its folded arithmetic, as long as the ladder.
     """
 
     def __init__(self, d):
@@ -132,7 +132,7 @@ class _Ladder:
             free = bounds.count(0)
             keys.extend(quotient_order(
                 I, m, [m] * free if gcd(m, shared) == 1
-                else [gcd(m, b) for b in bounds], log2=True) for m in _MS)
+                else c_moduli_from_bounds(m, bounds), log2=True) for m in _MS)
         walk = sorted(range(len(keys)), key=keys.__getitem__)
         self.pos = array("H", walk)
         self.keys = array("d", map(keys.__getitem__, walk))
@@ -143,7 +143,7 @@ class _Ladder:
         x, y = divmod(self.pos[j], len(_MS))
         m = _MS[y]
         return quotient_order(I_LADDER[x], m,
-                              [gcd(m, b) for b in self.bounds[x]])
+                              c_moduli_from_bounds(m, self.bounds[x]))
 
     def built(self, n):
         """specs, with the first n walk positions built."""
@@ -316,8 +316,8 @@ def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
 
     The walk reads survival off the ladder's bounds: c_{2^i} folds onto
     k = c_fold(2^i, I) and survives in Q(I, m) exactly when k != 0 and
-    gcd(m, B(k)) != 1 (FiniteQuotientSpec.c_survives). The order of the
-    winner is the closed form on its moduli, so the walk builds no spec.
+    M(k) = gcd(m, B(k)) != 1. The order of the winner is the closed form
+    on its moduli, so the walk builds no spec.
     """
     ladder = _ladder(d)
     # B(k) of the fold of c_{2^i} per I, 1 where it folds onto c_0 = 1

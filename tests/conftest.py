@@ -28,7 +28,8 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from conjlab.extension import GElement, g_conj, g_mul, parse_word
 from conjlab.nilpotent import DElement, d_element, d_inv, d_mul
-from conjlab.quotients import c_bounds, spec_from_bounds
+from conjlab.quotients import c_bounds, c_fold, quotient_order, \
+    spec_from_bounds
 from conjlab.search import I_LADDER
 from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
     parse_d_spec
@@ -283,7 +284,7 @@ def from_quotient_spec(spec) -> FiniteGroupTable:
     fq = spec.folded()
 
     def frozen(el):  # folded elements are dicts, which do not hash
-        return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
+        return tuple(frozenset(part.items()) for part in el[:3]) + (el[3],)
 
     elems = list(fq.elements())
     index = {frozen(el): i for i, el in enumerate(elems)}
@@ -321,14 +322,28 @@ def prime_powers_up_to(cap):
     return out
 
 
+def log2_order(spec):
+    """The float log2 order of a built spec."""
+    return quotient_order(spec.index_modulus, spec.exponent_modulus,
+                          spec.c_moduli, log2=True)
+
+
+def c_survives(spec, n):
+    """Whether c_n survives in the quotient, read off its moduli: c_n
+    folds onto k = c_fold(n, I) and survives exactly when k != 0 and
+    M(k) != 1."""
+    k = c_fold(n, spec.index_modulus)
+    return k != 0 and spec.c_moduli[k - 1] != 1
+
+
 def eager_ladder(d):
     """Every spec of the grid I_LADDER x prime powers up to 8192, built
-    and sorted by (log2_order, I, m): the reference for the order in
+    and sorted by (log2 order, I, m): the reference for the order in
     which search walks its lazy ladder."""
     ms = prime_powers_up_to(8192)
     specs = [spec_from_bounds(I, m, c_bounds(I, d))
              for I in I_LADDER for m in ms]
-    specs.sort(key=lambda s: (s.log2_order(), s.index_modulus,
+    specs.sort(key=lambda s: (log2_order(s), s.index_modulus,
                               s.exponent_modulus))
     return specs
 

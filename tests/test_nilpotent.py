@@ -12,6 +12,7 @@ from conjlab.extension import GElement, g_equal, g_mul, parse_word
 from conjlab.nilpotent import (
     DElement,
     _mul_correction,
+    _surviving_c,
     aa_terms,
     ab_terms,
     bb_terms,
@@ -32,6 +33,7 @@ from conjlab.nilpotent import (
 from conjlab.quotients import make_spec
 
 from conftest import (
+    D_SPECS,
     d_comm,
     d_letters_st,
     free_inv,
@@ -39,6 +41,7 @@ from conftest import (
     free_shift,
     letters_to_g,
     letters_to_word,
+    load_d,
     og_from_letters,
     og_mul,
     rho,
@@ -284,6 +287,45 @@ def test_identity_test_never_computes_large_values():
     d = Huge()
     assert not is_identity_d(central_c(4), d)
     assert not is_identity_d(d_element(derived={("C", 1): 10 ** 9}), d)
+
+
+def _two_pass_survivor(x, d):
+    """The pair that _surviving_c replaces: a triviality walk over the
+    sorted C keys, then on a nontrivial element a second walk for the
+    first surviving (k, gamma)."""
+    def dies(k, gamma):
+        j = power_of_two_exponent(k)
+        return (j is not None and not d.at_least(j, abs(gamma) + 1)
+                and gamma % d.value(j) == 0)
+
+    coords = sorted(x.derived.items())
+    if all(dies(key[1], gamma) for key, gamma in coords):
+        return None
+    return next((key[1], gamma) for key, gamma in coords
+                if not dies(key[1], gamma))
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_surviving_c_matches_two_pass_walk(d_spec):
+    d = load_d(d_spec)
+    rng = random.Random(f"survivor {d_spec}")
+    killed = 0
+    for _ in range(150):
+        derived = {}
+        for _ in range(rng.randint(1, 4)):
+            k = rng.choice((1, 2, 4, 8, 16, 1, 2, 4, 3, 6, 12))
+            j = power_of_two_exponent(k)
+            if j is not None and rng.random() < 0.7:
+                gamma = d.value(j) * rng.choice((-3, -1, 1, 2, 5))
+            else:
+                gamma = rng.randint(-40, 40)
+            derived[("C", k)] = derived.get(("C", k), 0) + gamma
+        x = d_element(derived=derived)
+        survivor = _surviving_c(x, d)
+        assert survivor == _two_pass_survivor(x, d), (d_spec, derived)
+        assert is_identity_d(x, d) == (survivor is None)
+        killed += survivor is None
+    assert 10 < killed < 140, killed  # both outcomes are exercised
 
 
 def test_d_equal_mod_relators(d_table):

@@ -22,7 +22,8 @@ from conjlab.quotients import (
 from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
-from conftest import D_SPECS, letters_to_g, load_d, random_letters
+from conftest import D_SPECS, c_survives, letters_to_g, load_d, log2_order, \
+    random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -31,27 +32,27 @@ D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
 # moduli above every exponent used below, so the images show the index
 # folding alone; at k = I/2 the flip c_k = c_{-k} = c_k^{-1} forces 2-torsion
-FOLD2 = FiniteQuotientSpec(2, 64, ((1, 2),)).folded()
-FOLD4 = FiniteQuotientSpec(4, 64, ((1, 64), (2, 2))).folded()
+FOLD2 = FiniteQuotientSpec(2, 64, (2,)).folded()
+FOLD4 = FiniteQuotientSpec(4, 64, (64, 2)).folded()
 
 
 def frozen(el):
     """A canonical hashable key of a folded element."""
-    return tuple(frozenset(part.items()) for part in el[:4]) + (el[4],)
+    return tuple(frozenset(part.items()) for part in el[:3]) + (el[3],)
 
 
 def test_project_mod_i_frozen():
     assert FOLD4.image(g_t(7)) == FOLD4.image(g_t(-1)) == \
-        FOLD4.identity()[:4] + (3,)
+        FOLD4.identity()[:3] + (3,)
 
     # c_3 folds onto c_1^{-1}, c_2 stays, c_4 folds onto c_0 = 1
-    assert FOLD4.image(parse_word("c[3]"))[3] == {1: 63}
-    assert FOLD4.image(parse_word("c[2]"))[3] == {2: 1}
+    assert FOLD4.image(parse_word("c[3]"))[2] == {("C", 1): 63}
+    assert FOLD4.image(parse_word("c[2]"))[2] == {("C", 2): 1}
     assert FOLD4.image(parse_word("c[4]")) == FOLD4.identity()
 
     assert FOLD2.image(parse_word("c[1]^2")) == FOLD2.identity()
-    assert FOLD2.image(parse_word("c[1]^3"))[3] == {1: 1}
-    assert FOLD4.image(parse_word("c[1]^9"))[3] == {1: 9}
+    assert FOLD2.image(parse_word("c[1]^3"))[2] == {("C", 1): 1}
+    assert FOLD4.image(parse_word("c[1]^9"))[2] == {("C", 1): 9}
 
 
 def test_project_mod_i_reorders_generators():
@@ -165,7 +166,7 @@ def test_c_moduli_match_relator_oracle():
         d = load_d(d_spec)
         for I in i_values:
             for m in m_values:
-                expected = tuple((k, _relator_c_modulus(I, k, m, d))
+                expected = tuple(_relator_c_modulus(I, k, m, d)
                                  for k in range(1, I // 2 + 1))
                 assert make_spec(I, m, d).c_moduli == expected, (d_spec, I, m)
 
@@ -180,7 +181,7 @@ def test_make_spec_orders():
 def test_log2_order_matches_order():
     for spec in (make_spec(1, 2, D_TABLE), make_spec(2, 2, D_TABLE),
                  make_spec(3, 5, nth_prime()), make_spec(8, 31, D_TABLE)):
-        assert math.isclose(spec.log2_order(), math.log2(spec.order()),
+        assert math.isclose(log2_order(spec), math.log2(spec.order()),
                             rel_tol=1e-12)
 
 
@@ -188,32 +189,34 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FiniteQuotientSpec(0, 2, ())
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 1, ((1, 2),))
+        FiniteQuotientSpec(2, 1, (2,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(4, 2, ((1, 2),))  # k = 2 row missing
+        FiniteQuotientSpec(4, 2, (2,))  # M(2) missing
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 2, ((1, 0),))
+        FiniteQuotientSpec(2, 2, (0,))
     # a modulus that does not divide m: c_1 and c_{-1} would fold apart
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 2, ((1, 3),))
+        FiniteQuotientSpec(2, 2, (3,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(3, 4, ((1, 3),))
+        FiniteQuotientSpec(3, 4, (3,))
     # at k = I/2 the flip c_k = c_k^{-1} allows 2-torsion at most
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 4, ((1, 4),))
+        FiniteQuotientSpec(2, 4, (4,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(4, 9, ((1, 9), (2, 3)))
-    assert FiniteQuotientSpec(3, 2, ((1, 2),)).c_modulus(1) == 2
+        FiniteQuotientSpec(4, 9, (9, 3))
+    # the folded arithmetic keys only the central indices of modulus > 1
+    assert FiniteQuotientSpec(3, 2, (2,)).folded().c_mod == {("C", 1): 2}
+    assert FiniteQuotientSpec(4, 3, (3, 1)).folded().c_mod == {("C", 1): 3}
     # folded arithmetic is built only from a spec, so the invalid
     # modulus above can no longer reach it directly
     with pytest.raises(TypeError):
         FoldedQuotient(2, 2, {1: 3})
-    fq = FoldedQuotient(FiniteQuotientSpec(2, 2, ((1, 2),)))
+    fq = FoldedQuotient(FiniteQuotientSpec(2, 2, (2,)))
     assert fq.image(parse_word("c[1]")) == fq.image(parse_word("c[-1]"))
 
 
 def test_well_definedness_guards_images():
-    spec = FiniteQuotientSpec(3, 2, ((1, 2),))
+    spec = FiniteQuotientSpec(3, 2, (2,))
     assert quotient_is_well_defined(spec, constant_prime(2))
     assert not quotient_is_well_defined(spec, D_TABLE)
     for I in (1, 2, 3, 4, 6, 8):
@@ -254,6 +257,60 @@ def test_operations_leave_arguments_unchanged(spec):
     assert word == before
 
 
+# ------------------------------------------------------ element invariant
+
+def _assert_reduced(fq, el):
+    """el holds only nonzero, reduced coordinates, its central keys are
+    ("C", k) with 1 <= k <= I//2 and a modulus above 1, and its
+    non-central keys are folded basis keys."""
+    a, b, der, t = el
+    assert 0 <= t < fq.I
+    for part in (a, b):
+        assert all(0 <= i < fq.I and 0 < v < fq.m for i, v in part.items())
+    for key, v in der.items():
+        if key[0] == "C":
+            assert len(key) == 2 and 1 <= key[1] <= fq.I // 2, key
+            assert fq.c_mod.get(key, 1) > 1, key
+            assert 0 < v < fq.c_mod[key], (key, v)
+        else:
+            kind, i, j = key
+            assert kind in ("AA", "AB", "BB") and 0 <= i <= j < fq.I, key
+            assert i < j or kind == "AB", key
+            assert 0 < v < fq.m, (key, v)
+
+
+@pytest.mark.parametrize("spec", [make_spec(2, 2, D_TABLE),
+                                  make_spec(3, 3, constant_prime(3)),
+                                  FiniteQuotientSpec(4, 64, (64, 2)),
+                                  make_spec(8, 31, D_TABLE)],
+                         ids=["Q(2,2)", "Q(3,3)", "Q(4,64)", "Q(8,31)"])
+def test_results_hold_only_reduced_coordinates(spec):
+    fq = spec.folded()
+    I, m = spec.index_modulus, spec.exponent_modulus
+    rng = random.Random(f"invariant {spec.name()}")
+    for _ in range(25):
+        gx = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
+        gy = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
+        x, y = fq.image(gx), fq.image(gy)
+        pairs = [(i, j) for i in range(I) for j in range(i, I)]
+        derived = {("AB", i, j): rng.randint(-2 * m, 2 * m)
+                   for i, j in rng.sample(pairs, min(3, len(pairs)))}
+        derived.update({("C", k): rng.randint(-2 * m, 2 * m)
+                        for k in rng.sample(range(-2 * I, 2 * I + 1), 4)})
+        i, j = sorted(rng.sample(range(I), 2))
+        derived[rng.choice(("AA", "BB")), i, j] = rng.randint(-m, m)
+        made = fq.from_parts(
+            a={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
+            b={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
+            derived=derived, t=rng.randint(-2 * I, 2 * I))
+        results = [x, y, fq.mul(x, y), fq.inv(x), fq.conj(x, y), made,
+                   fq.mul(made, x), fq.inv(made), fq.conj(made, y)]
+        results += [fq.rotate(z, shift) for z in (x, made)
+                    for shift in (1, -1, I + 1, rng.randint(-3 * I, 3 * I))]
+        for el in results:
+            _assert_reduced(fq, el)
+
+
 # ----------------------------------------------------------------- images
 
 def test_image_is_homomorphism():
@@ -286,7 +343,7 @@ def test_c_survives_matches_image(d_spec):
     for spec in specs[::7]:
         fq = spec.folded()
         for i in range(7):
-            assert spec.c_survives(2 ** i) == \
+            assert c_survives(spec, 2 ** i) == \
                 (not fq.image_is_trivial(GElement(central_c(2 ** i)))), \
                 (spec, i)
 
@@ -308,10 +365,12 @@ def test_order_and_enumeration():
         elems = list(fq.elements())
         assert len(elems) == len({frozen(x) for x in elems}) == \
             spec.order() == order
-        for a, b, nonc, cc, t in elems:
-            assert all(0 < v < fq.m for part in (a, b, nonc)
-                       for v in part.values())
-            assert all(0 < v < fq.c_mod[k] for k, v in cc.items())
+        for el in elems:
+            a, b, der, t = el
+            assert all(0 < v < fq.m for part in (a, b) for v in part.values())
+            assert all(0 < v < (fq.c_mod[key] if key[0] == "C" else fq.m)
+                       for key, v in der.items())
+            _assert_reduced(fq, el)
 
 
 # -------------------------------------------------------- conjugacy in Q
