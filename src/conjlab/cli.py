@@ -166,6 +166,8 @@ def _cmd_mckinsey(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    if args.i_max < 0:
+        raise ValueError(f"i_max must be at least 0, got {args.i_max}")
     d = parse_d_spec(args.d)
     budget = SearchBudget(max_specs=args.max_specs)
     cfg = RunConfig("growth", args.d, args.format, max_specs=args.max_specs,

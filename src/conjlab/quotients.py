@@ -29,13 +29,15 @@ DElement.derived: the folded basis keys AA(i<j), AB(i<=j), BB(i<j) map
 to exponents mod m, and each central key ("C", k) with k in 1..I//2 and
 M(k) > 1 to its exponent mod M(k). t is the t-exponent mod I. The dicts
 hold only nonzero, reduced coordinates, so equal elements compare equal
-and no operation pays for the O(I^2) full layout. Elements are values:
-no operation mutates its arguments, and a caller that needs a hashable
-key freezes the dicts itself. A FiniteQuotientSpec stores its moduli
-flat, (M(1), ..., M(I//2)), builds its FoldedQuotient on first use and
-keeps it, so the folded arithmetic lives exactly as long as the spec.
-Its order is the closed formula quotient_order(I, m, moduli), which the
-search ladder also reads without building a spec.
+and no operation pays for the O(I^2) full layout. One fold on D's
+collection kernel, FoldedQuotient._fold, builds every element: image,
+rotate and from_parts call it, and mul and inv rotate through it.
+Elements are values: no operation mutates its arguments, and a caller
+that needs a hashable key freezes the dicts itself. A FiniteQuotientSpec
+stores its moduli flat, (M(1), ..., M(I//2)), builds its FoldedQuotient
+on first use and keeps it, so the folded arithmetic lives exactly as
+long as the spec. Its order is the closed formula quotient_order(I, m,
+moduli), which the search ladder also reads without building a spec.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order. finite_conjugate
@@ -52,23 +54,14 @@ from itertools import product, repeat
 
 from .conjugacy import IntegerLinearSystem, commutator_bilinear, hnf_solve
 from .extension import GElement
-from .nilpotent import _mul_correction, aa_terms, ab_terms, bb_terms
+from .nilpotent import _collect, _mul_correction, aa_terms, ab_terms, \
+    bb_terms
 
 _ENUMERATION_CAP = 4096  # largest order finite_conjugate enumerates
 
 
-def _fold_key(I, key, coeff, shift=0):
-    """Terms of one basis coordinate with its a/b indices shifted and
-    folded mod I; central indices are folded by FoldedQuotient._acc_terms."""
-    kind = key[0]
-    if kind == "C":
-        return ((key, coeff),)
-    i, j = (key[1] + shift) % I, (key[2] + shift) % I
-    if kind == "AA":
-        return aa_terms(i, j, coeff)
-    if kind == "BB":
-        return bb_terms(i, j, coeff)
-    return ab_terms(i, j, coeff)
+# the folded basis terms of one non-central commutator, by its kind
+_TERMS = {"AA": aa_terms, "AB": ab_terms, "BB": bb_terms}
 
 
 class FoldedQuotient:
@@ -76,7 +69,9 @@ class FoldedQuotient:
 
     m is the a/b/non-central exponent modulus; c_mod maps each central
     key ("C", k) with M(k) > 1 to M(k). A central index of modulus 1 is
-    not in c_mod and never appears in an element.
+    not in c_mod and never appears in an element. _fold is the one fold
+    onto this form: image, rotate and from_parts are calls of it, and mul
+    and inv rotate through it before they combine folded coordinates.
     """
 
     def __init__(self, spec: FiniteQuotientSpec):
@@ -113,35 +108,51 @@ class FoldedQuotient:
             self._acc_exp(der, key, v, mod)
         return der
 
-    def _srot(self, x, shift):
-        """t^shift x t^-shift: the a/b indices of x move up by shift."""
+    def _place(self, raw, part, shift, b_family):
+        """One family's factors, moved up by shift and folded in ascending
+        index order; the reordering corrections go into raw."""
+        I, m = self.I, self.m
+        placed: dict = {}
+        top = -1
+        for i, e in sorted(part.items()):
+            r = (i + shift) % I
+            if r < top:
+                if b_family:
+                    _collect(raw, {}, placed, {}, {r: e})
+                else:
+                    _collect(raw, placed, {}, {r: e}, {})
+            else:
+                top = r
+            placed[r] = (placed.get(r, 0) + e) % m
+        if 0 in placed.values():
+            return {r: v for r, v in placed.items() if v}
+        return placed
+
+    def _fold(self, a, b, der, t, shift=0):
+        """The image of t^shift (A(a) B(b) der t^t) t^-shift, with a, b and
+        der in D's coordinates or already folded. Each generator factor
+        goes to its residue in ascending index order; one below a residue
+        already placed is moved past the placed factors by the collection
+        kernel (_place). Derived keys shift and fold alike, a central index
+        folds in _acc_terms, and every sum is reduced once, at the end:
+        each modulus divides m."""
         I = self.I
-        shift %= I
-        if shift == 0:
-            return x
-        a, b, der, t = x
-        ra = {(i + shift) % I: v for i, v in a.items()}
-        rb = {(i + shift) % I: v for i, v in b.items()}
-        rd: dict = {}
+        raw: dict = {}
+        fa = self._place(raw, a, shift, False) if a else {}
+        fb = self._place(raw, b, shift, True) if b else {}
+        get = raw.get
         for key, v in der.items():
-            self._acc_terms(rd, _fold_key(I, key, v, shift))
-        # rotation wraps the tail of each ascending block to the front;
-        # every wrapped factor re-sorts past every unwrapped one
-        wrap = I - shift
-        for terms, block in ((aa_terms, a), (bb_terms, b)):
-            for i, e in block.items():
-                if i < wrap:
-                    continue
-                for j, f in block.items():
-                    if j >= wrap:
-                        continue
-                    self._acc_terms(rd, terms(j + shift, (i + shift) % I,
-                                              e * f))
-        return ra, rb, rd, t
+            if key[0] == "C":
+                raw[key] = get(key, 0) + v
+                continue
+            for fkey, fv in _TERMS[key[0]]((key[1] + shift) % I,
+                                           (key[2] + shift) % I, v):
+                raw[fkey] = get(fkey, 0) + fv
+        return fa, fb, self._acc_terms({}, raw.items()), t % I
 
     def _smul(self, x, y):
         xa, xb, xd, xt = x
-        ra, rb, rd, yt = self._srot(y, xt)
+        ra, rb, rd, yt = self._fold(*y, xt) if xt else y
         m = self.m
         a = dict(xa)
         for i, v in ra.items():
@@ -156,59 +167,37 @@ class FoldedQuotient:
     def _sinv(self, x):
         xa, xb, xd, xt = x
         # as in d_inv: -corr(x, x^-1) = corr(x, x) by bilinearity
-        der = self._acc_terms({}, _mul_correction(xa, xb, xa, xb).items())
-        self._acc_terms(der, ((key, -v) for key, v in xd.items()))
-        m = self.m
-        na = {i: -v % m for i, v in xa.items()}
-        nb = {i: -v % m for i, v in xb.items()}
-        return self._srot((na, nb, der, -xt % self.I), -xt)
+        der = {key: -v for key, v in xd.items()}
+        _collect(der, xa, xb, xa, xb)
+        return self._fold({i: -v for i, v in xa.items()},
+                          {i: -v for i, v in xb.items()}, der, -xt, -xt)
 
     def _simage(self, g: GElement):
-        """Image of a group element. Generator factors are pushed through
-        one at a time in ascending index order so the folded reordering
-        corrections are picked up exactly."""
-        acc = ({}, {}, {}, 0)
         h = g.d_part
-        for i in sorted(h.a_part):
-            e = h.a_part[i] % self.m
-            if e:
-                acc = self._smul(acc, ({i % self.I: e}, {}, {}, 0))
-        for i in sorted(h.b_part):
-            e = h.b_part[i] % self.m
-            if e:
-                acc = self._smul(acc, ({}, {i % self.I: e}, {}, 0))
-        der: dict = {}
-        for key, v in h.derived.items():
-            self._acc_terms(der, _fold_key(self.I, key, v))
-        if der:
-            acc = self._smul(acc, ({}, {}, der, 0))
-        if g.t_exp % self.I:
-            acc = self._smul(acc, ({}, {}, {}, g.t_exp % self.I))
-        return acc
+        return self._fold(h.a_part, h.b_part, h.derived, g.t_exp)
 
     # The helpers above call one another, never these public names, so a
     # wrapper around a public method counts only calls made through it.
     mul = _smul
     inv = _sinv
-    rotate = _srot
     image = _simage
+
+    def rotate(self, x, shift):
+        """t^shift x t^-shift: the a/b indices of x move up by shift."""
+        return self._fold(*x, shift) if shift % self.I else x
 
     def identity(self):
         return {}, {}, {}, 0
 
     def from_parts(self, a=None, b=None, derived=None, t=0):
-        """Element from residue-indexed coordinate dicts (already folded)."""
-        m = self.m
-        return ({i: v % m for i, v in (a or {}).items() if v % m},
-                {i: v % m for i, v in (b or {}).items() if v % m},
-                self._acc_terms({}, (derived or {}).items()), t % self.I)
+        """Element from coordinate dicts, folded as by image."""
+        return self._fold(a or {}, b or {}, derived or {}, t)
 
     def conj(self, x, g):
         return self.mul(self.inv(g), self.mul(x, g))
 
     def image_is_trivial(self, g: GElement) -> bool:
-        a, b, der, t = self._simage(g)
-        return not (a or b or der or t)
+        return not any(self._simage(g))
 
     def elements(self):
         """Every element, in the lexicographic order of (t, a, b, derived)
@@ -430,22 +419,19 @@ def _orbit_chain_solve(delta, s, I, m):
 
 
 def _orbit_closure(fq, key, s):
-    """The rotation orbit of a non-central key under shifts by +-s, plus
-    every central key of modulus > 1 those rotations touch."""
-    nonc = set()
-    cs = set()
-    frontier = [key]
-    while frontier:
-        cur = frontier.pop()
-        if cur in nonc:
-            continue
+    """The rotation orbit of a non-central key under shifts by s, plus
+    every central key of modulus > 1 those rotations touch. Rotation by s
+    sends each non-central key to exactly one, so the orbit is a cycle,
+    walked here under +s; it is also the orbit under -s."""
+    nonc, cs = set(), set()
+    cur = key
+    while cur not in nonc:
         nonc.add(cur)
-        for shift in (s, -s):
-            for nk in fq._acc_terms({}, _fold_key(fq.I, cur, 1, shift)):
-                if nk[0] == "C":
-                    cs.add(nk)
-                elif nk not in nonc:
-                    frontier.append(nk)
+        for nk in fq.rotate(({}, {}, {cur: 1}, 0), s)[2]:
+            if nk[0] == "C":
+                cs.add(nk)
+            else:
+                cur = nk
     return nonc, cs
 
 
@@ -503,18 +489,17 @@ def _minus(fq, y, x):
     return out
 
 
-def _qpow(fq, x, n):
-    """x^n for n >= 1, by squaring from the lowest set bit to the top one."""
-    while not n & 1:
-        x = fq.mul(x, x)
-        n >>= 1
-    acc = x
-    while n > 1:
-        n >>= 1
-        x = fq.mul(x, x)
-        if n & 1:
-            acc = fq.mul(acc, x)
-    return acc
+def _power(fq, x, n):
+    """x^n for an x of t-exponent 0, in closed form: the a- and b-parts
+    and the derived part scale by n, and each of the n(n-1)/2 ordered
+    pairs of factors adds the collection correction corr(x, x)."""
+    a, b, der, _ = x
+    pairs = n * (n - 1) // 2
+    raw = {key: n * v for key, v in der.items()}
+    for key, v in _mul_correction(a, b, a, b).items():
+        raw[key] = raw.get(key, 0) + pairs * v
+    return fq._fold({i: n * v for i, v in a.items()},
+                    {i: n * v for i, v in b.items()}, raw, 0)
 
 
 def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
@@ -580,7 +565,7 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     for c, key in enumerate(delta_cols):
         # conjugating by the derived part contributes (rotate by s) - id
         rows[row_pos[key]][base + c] -= 1
-        for nk, v in fq._acc_terms({}, _fold_key(I, key, 1, s)).items():
+        for nk, v in fq.rotate(({}, {}, {key: 1}, 0), s)[2].items():
             # centred: -1 rather than its reduced form mod - 1 keeps the
             # numbers in hnf_solve small (twice as fast at I = 16)
             mod = c_mod.get(nk, m)
@@ -596,7 +581,7 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     for idx, gen in enumerate(orbit_gens):
         v = solution[idx] % m
         if v:
-            kappa = fq.mul(kappa, _qpow(fq, gen, v))
+            kappa = fq.mul(kappa, _power(fq, gen, v))
     delta_der: dict = {}
     for idx, key in enumerate(delta_cols):
         v = solution[base + idx] % m

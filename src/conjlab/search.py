@@ -75,6 +75,17 @@ class SearchBudget:
     max_order: Optional[int] = None
     max_specs: int = 20000
 
+    def __post_init__(self):
+        if self.max_conj_len < 0:
+            raise ValueError(f"max-conj-len must be at least 0, "
+                             f"got {self.max_conj_len}")
+        if self.max_specs < 0:
+            raise ValueError(f"max-specs must be at least 0, "
+                             f"got {self.max_specs}")
+        if self.max_order is not None and self.max_order < 1:
+            raise ValueError(f"max-order must be at least 1, "
+                             f"got {self.max_order}")
+
 
 @dataclass(frozen=True)
 class McKinseyOutcome:
@@ -165,14 +176,12 @@ class _Ladder:
         bound = log2(budget.max_order)
         taken = 0
         for j, approx in enumerate(self.keys):
-            if approx > bound + 1:
-                return  # the keys ascend
+            if taken >= budget.max_specs or approx > bound + 1:
+                return  # the budget is spent, or the keys ascend past it
             if approx > bound - 1 and self.order(j) > budget.max_order:
                 continue
             yield j
             taken += 1
-            if taken >= budget.max_specs:
-                return
 
 
 # d -> its _Ladder; an entry lives as long as its d object

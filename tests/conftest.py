@@ -348,6 +348,26 @@ def eager_ladder(d):
     return specs
 
 
+def orbit_closure_search(fq, key, s):
+    """The reference for quotients._orbit_closure: breadth-first search
+    from a non-central key over rotations by +s and -s, collecting every
+    non-central key reached and every central key the rotations touch."""
+    nonc, cs = set(), set()
+    frontier = [key]
+    while frontier:
+        cur = frontier.pop()
+        if cur in nonc:
+            continue
+        nonc.add(cur)
+        for shift in (s, -s):
+            for nk in fq.rotate(({}, {}, {cur: 1}, 0), shift)[2]:
+                if nk[0] == "C":
+                    cs.add(nk)
+                elif nk not in nonc:
+                    frontier.append(nk)
+    return nonc, cs
+
+
 # ------------------------------------------------------------------ fixtures
 
 @pytest.fixture

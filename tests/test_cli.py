@@ -169,6 +169,29 @@ def test_mckinsey_budget_exhausted(capsys):
     assert "verdict: budget-exhausted" in out
 
 
+def test_mckinsey_zero_max_specs_under_max_order(capsys):
+    code, out, _ = run(capsys, "mckinsey", "a[0]", "a[0] c[1]",
+                       "--max-specs", "0", "--max-order", "100000")
+    assert code == 3
+    assert "quotients tested: 0" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("mckinsey", "a[0]", "a[0] c[1]", "--max-order", "0"), "max-order"),
+    (("mckinsey", "a[0]", "a[0] c[1]", "--max-order", "-3"), "max-order"),
+    (("mckinsey", "a[0]", "a[0] c[1]", "--max-specs", "-1"), "max-specs"),
+    (("mckinsey", "a[0]", "a[0] c[1]", "--max-conj-len", "-1"),
+     "max-conj-len"),
+    (("growth", "-1"), "i_max"),
+    (("growth", "1", "--max-specs", "-1"), "max-specs"),
+])
+def test_out_of_range_budget_is_an_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and option in err
+
+
 # ----------------------------------------------------------------- growth
 
 def parse_growth_csv(out):

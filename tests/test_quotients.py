@@ -7,11 +7,14 @@ from copy import deepcopy
 
 import pytest
 
-from conjlab.extension import GElement, g_inv, g_mul, g_t, parse_word
+from conjlab.extension import GElement, g_conj, g_inv, g_mul, g_t, \
+    parse_word
 from conjlab.nilpotent import central_c, d_element
 from conjlab.quotients import (
     FiniteQuotientSpec,
     FoldedQuotient,
+    _orbit_closure,
+    _power,
     finite_conjugate,
     make_spec,
     quotient_conjugate_exact,
@@ -23,7 +26,7 @@ from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
 from conftest import D_SPECS, c_survives, letters_to_g, load_d, log2_order, \
-    random_letters
+    orbit_closure_search, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -71,6 +74,56 @@ def test_fold_respects_multiplication():
             x = letters_to_g(random_letters(rng, max_len=4))
             y = letters_to_g(random_letters(rng, max_len=4))
             assert fq.image(g_mul(x, y)) == fq.mul(fq.image(x), fq.image(y))
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_rotate_is_conjugation_by_t(d_spec):
+    # rotate(x, s) is t^s x t^-s: the image of the conjugate of g by t^-s
+    d = load_d(d_spec)
+    rng = random.Random(f"rotate {d_spec}")
+    for I in (1, 2, 3, 4, 8, 12):
+        fq = make_spec(I, 930, d).folded()
+        for _ in range(4):
+            g = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
+            x = fq.image(g)
+            for s in range(-I, 2 * I + 1):
+                assert fq.rotate(x, s) == fq.image(g_conj(g, g_t(-s))), \
+                    (I, s, g)
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(55)
+    for spec in (make_spec(2, 2, D_TABLE), make_spec(3, 3, constant_prime(3)),
+                 FiniteQuotientSpec(4, 64, (64, 2)), make_spec(8, 31, D_TABLE)):
+        fq = spec.folded()
+        I, m = spec.index_modulus, spec.exponent_modulus
+        for _ in range(6):
+            x = fq.image(letters_to_g(random_letters(rng, max_len=6,
+                                                     families="abc")))
+            x = fq.mul(x, fq.from_parts(derived={
+                ("AB", 0, I - 1): rng.randrange(1, m),
+                ("C", rng.randint(1, 2 * I)): rng.randrange(1, m)}))
+            assert x[2] and x[3] == 0
+            acc = x
+            for n in range(1, 13):
+                assert _power(fq, x, n) == acc, (spec, x, n)
+                acc = fq.mul(acc, x)
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_orbit_cycle_walk_matches_search(d_spec):
+    # the walk under +s reaches what the search over +-s reaches
+    d = load_d(d_spec)
+    for I in (1, 2, 3, 4, 6, 8, 12):
+        for m in (2, 6, 31):
+            fq = make_spec(I, m, d).folded()
+            keys = [("AA", i, j) for i in range(I) for j in range(i + 1, I)]
+            keys += [("BB", i, j) for _, i, j in keys]
+            keys += [("AB", i, j) for i in range(I) for j in range(i, I)]
+            for s in range(I):
+                for key in keys:
+                    assert _orbit_closure(fq, key, s) == \
+                        orbit_closure_search(fq, key, s), (I, m, s, key)
 
 
 # --------------------------------------------------------- central moduli

@@ -118,6 +118,30 @@ def test_ladder_keys_are_log2_orders(d_spec):
             assert ladder.order(j) == spec.order(), spec
 
 
+def test_zero_max_specs_walks_nothing_under_max_order():
+    # max_specs bounds the walk before its first position, with or
+    # without max_order
+    for budget in (SearchBudget(max_specs=0),
+                   SearchBudget(max_specs=0, max_order=100000)):
+        assert spec_stream(D_TABLE, budget) == []
+        assert all(rf_witness_order(i, D_TABLE, budget) is None
+                   for i in range(3))
+        out = mckinsey_search(parse_word("a[0]"), parse_word("a[0] c[1]"),
+                              D_TABLE, budget)
+        assert out.verdict == "budget-exhausted"
+        assert out.quotients_tested == 0
+    one = SearchBudget(max_specs=1, max_order=100000)
+    assert len(spec_stream(D_TABLE, one)) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_order", 0), ("max_order", -5), ("max_specs", -1),
+    ("max_conj_len", -1)])
+def test_search_budget_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", "-")):
+        SearchBudget(**{field: value})
+
+
 WITNESS_BUDGETS = [SearchBudget()] + \
     [SearchBudget(max_specs=n) for n in (1, 4430, 4431, 11908, 11909)] + \
     [SearchBudget(max_order=n) for n in (2047, 2048, 10 ** 6, 2 ** 600)]
