@@ -10,9 +10,11 @@ of index moduli crossed with prime power exponent moduli.
 The words of one length are walked as a tree over the letters tabTAB,
 depth first in the order of itertools.product, so at most one conjugate
 per depth is alive. Each conjugate comes from its parent's: if
-c_w = w^-1 g1 w then c_wx = x^-1 c_w x, two multiplications by a letter
-and its inverse, with no word text parsed. Two exact prunings keep the
-walk's result and counts those of the plain enumeration:
+c_w = w^-1 g1 w then c_wx = x^-1 c_w x, with no word text parsed. For
+c_w = (h, s) and a letter x of D that is x^-1 h phi_s(x), one copy of
+h's dicts and two one-letter calls of the collection kernel (_conj_step);
+a t-letter shifts h. Two exact prunings keep the walk's result and
+counts those of the plain enumeration:
 
 * a word with a cancelling pair (tT, Tt, aA, Aa, bB, Bb) equals a word
   two letters shorter, which an earlier phase already tested without a
@@ -20,7 +22,9 @@ walk's result and counts those of the plain enumeration:
 * the relators only touch central C coordinates, so a conjugate equal
   to g2 has g2's t-exponent and g2's a- and b-parts. Conjugation keeps
   the t-exponent, so a mismatch there fails a whole phase at once;
-  otherwise the full g_equal runs only when the a- and b-parts agree.
+  otherwise, when the a- and b-parts agree, the two differ by the
+  central difference of their derived parts, whose triviality
+  is_identity_d decides.
 
 The quotient ladder of each d is sorted once as flat keys: a grid
 position and the float log2 order of every Q(I, m), about 130 KB, with
@@ -30,11 +34,12 @@ and the witness walk of growth_table reads survival off the bounds, so
 neither builds the whole ladder; spec_stream builds every spec it
 returns.
 
-The quotient walk prunes hard: a quotient can only separate the pair if
-it separates z = g1 * g2^-1 from the identity whenever the pair is a
-central translate, and more generally equal images can never separate,
-so each spec first gets the cheap triviality test of z before any
-conjugacy work. Conjugacy inside a quotient is then settled by the exact
+The quotient walk prunes hard: equal images can never separate, and the
+image is a homomorphism, so the images of g1 and g2 agree exactly when
+z = g1 * g2^-1 maps to the identity. Each spec first gets that
+triviality test of z, once per tested spec, before any conjugacy work;
+for a central z (the relator pairs) it reads the folded C exponents
+alone. Conjugacy inside a quotient is then settled by the exact
 coordinate decision, whatever the quotient's order, and a separating
 quotient is checked to be well defined for d before it is returned.
 """
@@ -50,16 +55,9 @@ from math import gcd, log2, prod
 from typing import Optional
 
 from .conjugacy import conjugacy_decide
-from .extension import (
-    GElement,
-    c_witness_word,
-    g_equal,
-    g_inv,
-    g_mul,
-    parse_word,
-    word_length,
-)
-from .nilpotent import central_c, d_mul, generator_a
+from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
+from .nilpotent import DElement, _acc, _clean, _collect, central_c, d_mul, \
+    generator_a, is_identity_d, phi_shift
 from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
     c_moduli_from_bounds, quotient_conjugate_exact, quotient_is_well_defined, \
     quotient_order, spec_from_bounds
@@ -213,16 +211,46 @@ def spec_stream(d, budget: SearchBudget):
 
 
 _LETTERS = "tabTAB"
-# per letter x: (x^-1, x) as elements, and the index of x^-1 in _LETTERS
-_STEPS = tuple((g_inv(x), x) for x in map(parse_word, _LETTERS))
+# per letter x: its family and exponent, and the index of x^-1 in _LETTERS
+_STEPS = tuple((x.lower(), 1 if x.islower() else -1) for x in _LETTERS)
 _CANCELS = tuple(_LETTERS.index(x.swapcase()) for x in _LETTERS)
 
 
+def _conj_step(c: GElement, letter: int) -> GElement:
+    """g_conj(c, x) for the letter x = _LETTERS[letter], in one pass.
+
+    t^-e (h, s) t^e is (phi_-e(h), s). For x = a_0^e or b_0^e it is
+    (x^-1 h phi_s(x), s): h's dicts are copied once, and the kernel adds
+    the corrections of x^-1 * h and of that product * x_s^e into the
+    copied derived dict."""
+    h, s = c.d_part, c.t_exp
+    kind, e = _STEPS[letter]
+    if kind == "t":
+        return GElement(phi_shift(h, -e), s)
+    a, b, der = dict(h.a_part), dict(h.b_part), dict(h.derived)
+    if kind == "a":
+        _collect(der, {0: -e}, {}, h.a_part, h.b_part)
+        _acc(a, ((0, -e),))
+        _collect(der, a, b, {s: e}, {})
+        _acc(a, ((s, e),))
+    else:
+        _collect(der, {}, {0: -e}, h.a_part, h.b_part)
+        _acc(b, ((0, -e),))
+        _collect(der, a, b, {}, {s: e})
+        _acc(b, ((s, e),))
+    return GElement(DElement(a, b, _clean(der)), s)
+
+
 def _equal_same_t(c: GElement, g2: GElement, d) -> bool:
-    """g_equal(c, g2, d) for elements of equal t-exponent, with the a-
-    and b-parts, which the relators never touch, compared first."""
-    return (c.d_part.a_part == g2.d_part.a_part
-            and c.d_part.b_part == g2.d_part.b_part and g_equal(c, g2, d))
+    """g_equal(c, g2, d) for elements of equal t-exponent. The a- and
+    b-parts, which the relators never touch, are compared first; when
+    they agree, c^-1 g2 is a shift of the central difference of the
+    derived parts, and a shift fixes every C key."""
+    h, h2 = c.d_part, g2.d_part
+    if h.a_part != h2.a_part or h.b_part != h2.b_part:
+        return False
+    diff = _acc(dict(h2.derived), ((key, -v) for key, v in h.derived.items()))
+    return is_identity_d(DElement({}, {}, diff), d)
 
 
 def _word_phase(g1: GElement, g2: GElement, d, length: int):
@@ -255,8 +283,7 @@ def _word_phase(g1: GElement, g2: GElement, d, length: int):
             reached += n ** (length - len(path) - 1)
             i += 1
             continue
-        inv_x, x = _STEPS[i]
-        c = g_mul(g_mul(inv_x, conj[-1]), x)
+        c = _conj_step(conj[-1], i)
         if len(path) + 1 < length:
             path.append(i)
             conj.append(c)
@@ -296,15 +323,14 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
             length += 1
         chunk = list(islice(walk, _CHUNK))
         more_specs = len(chunk) == _CHUNK
+        specs = ladder.built(chunk[-1] + 1) if chunk else ()
         for j in chunk:
-            spec = ladder.built(j + 1)[j]
+            spec = specs[j]
             quotients += 1
             fq = spec.folded()
-            if fq.image_is_trivial(z):
+            if fq.image_is_trivial(z):  # otherwise the images differ
                 continue
             x, y = fq.image(g1), fq.image(g2)
-            if x == y:
-                continue
             if not quotient_conjugate_exact(x, y, spec):
                 if not quotient_is_well_defined(spec, d):
                     raise AssertionError(f"{spec.name()} is not well defined "

@@ -13,9 +13,9 @@ from conjlab.conjugacy import conjugacy_decide
 from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
     g_t, parse_word
 from conjlab.machine import parse_program
-from conjlab.nilpotent import central_c, d_mul, generator_a
-from conjlab.quotients import FiniteQuotientSpec, make_spec, \
-    quotient_is_well_defined, required_c_modulus
+from conjlab.nilpotent import central_c, d_element, d_mul, generator_a
+from conjlab.quotients import FiniteQuotientSpec, FoldedQuotient, \
+    make_spec, quotient_is_well_defined, required_c_modulus
 from conjlab.search import (
     I_LADDER,
     SearchBudget,
@@ -330,6 +330,72 @@ def test_word_phase_memory_is_per_depth():
         tracemalloc.stop()
     assert out == (None, 6 ** 4)
     assert peak < 32 * 2 ** 10
+
+
+def test_conj_step_matches_g_conj():
+    # the one-pass child of the word walk is g_conj by the letter, for
+    # every letter and t-exponent -3..3, the identity included
+    rng = random.Random(14)
+    pool = [GElement()]
+    for t in range(-3, 4):
+        for _ in range(5):
+            g = letters_to_g(random_letters(rng, max_len=6))
+            pool.append(g_mul(g, g_t(t - g.t_exp)))
+    assert {c.t_exp for c in pool} == set(range(-3, 4))
+    for c in pool:
+        for i, letter in enumerate("tabTAB"):
+            assert search._conj_step(c, i) == g_conj(c, parse_word(letter)), \
+                (c, letter)
+
+
+def _derived(der):
+    return GElement(d_element(derived=der))
+
+
+def test_equal_same_t_matches_g_equal():
+    # pairs of equal t-exponent g and g z, with z non-central, central and
+    # surviving, or central and dying
+    rng = random.Random(15)
+    differences = {
+        "noncentral": [parse_word("b[1]"), _derived({("AA", 0, 2): 1}),
+                       _derived({("AB", -1, 1): 2}),
+                       _derived({("BB", 0, 1): 1, ("C", 1): 2})],
+        "surviving": [_derived({("C", 1): 1}), _derived({("C", 3): 2}),
+                      _derived({("C", 2): 30}),
+                      _derived({("C", 1): 2, ("C", 8): 1})],
+        "dying": [GElement(), _derived({("C", 1): 2}),
+                  _derived({("C", 2): 31}),
+                  _derived({("C", 1): -2, ("C", 4): 127})],
+    }
+    for g in (letters_to_g(random_letters(rng, max_len=6)) for _ in range(20)):
+        for kind, zs in differences.items():
+            for z in zs:
+                g2 = g_mul(g, z)
+                equal = search._equal_same_t(g, g2, D_TABLE)
+                assert equal == g_equal(g, g2, D_TABLE), (g, z)
+                assert equal == (kind == "dying"), (g, z)
+
+
+@pytest.mark.parametrize("g1, g2, budget, tested", [
+    ("a[0]", "a[0] c[1]", SearchBudget(), 9),
+    ("a[0]", "a[0] c[4]", SearchBudget(), 7209),
+    ("t a", "t a c[1]", SearchBudget(max_specs=50), 50),
+    ("t", "t t", SearchBudget(), 9),
+], ids=["readme", "relator-c4", "max-specs", "t-mismatch"])
+def test_one_triviality_test_per_tested_quotient(g1, g2, budget, tested,
+                                                  monkeypatch):
+    # the traced benchmark checks that search makes exactly one
+    # image_is_trivial call per quotient it counts as tested
+    calls = []
+    original = FoldedQuotient.image_is_trivial
+
+    def counted(fq, g):
+        calls.append(fq)
+        return original(fq, g)
+
+    monkeypatch.setattr(FoldedQuotient, "image_is_trivial", counted)
+    out = mckinsey_search(parse_word(g1), parse_word(g2), D_TABLE, budget)
+    assert out.quotients_tested == len(calls) == tested
 
 
 # ------------------------------------------------------- witness growth
