@@ -21,9 +21,11 @@ c_0 is trivial and c_{-k} is the inverse of c_k, so those keys never occur.
 
 Collection has one path, the kernel _collect: it adds the correction of a
 product straight into a dict its caller owns. d_mul and d_inv pass the
-product's own derived dict, and extension.parse_word the dict it builds
-a word into, one letter at a time; _mul_correction wraps it for the
-folded quotients and commutator_bilinear.
+product's own derived dict, extension.parse_word the dict it builds a
+word into, one letter at a time, and d_letter_conj (conjugation by one
+generator letter, for the word walk of the search module) a copy of its
+argument's; _mul_correction wraps it for the folded quotients and
+commutator_bilinear.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction: every operation returns a fresh element, or an operand
@@ -31,7 +33,8 @@ itself when the result equals it (d_mul by the identity). Because d(j)
 may be astronomically large, a C coordinate is only compared with d(j) when
 d(j) is known to be small enough to reach it (is_identity_d). Plain == on
 elements is raw coordinate identity, not group equality: test equality in
-G with extension.g_equal, or triviality of x^{-1} y with is_identity_d.
+G with extension.g_equal, in D with d_equal, or triviality of x^{-1} y
+with is_identity_d.
 """
 
 from __future__ import annotations
@@ -217,6 +220,25 @@ def d_mul(x: DElement, y: DElement) -> DElement:
                     _acc(dict(x.b_part), y.b_part.items()), _clean(der))
 
 
+def d_letter_conj(x: DElement, family: str, e: int, s: int) -> DElement:
+    """g_0^-e x g_s^e for the generator family g = "a" or "b": the D-part
+    of (x, s) conjugated in G by the letter g_0^e, in one pass. x's dicts
+    are copied once, and the kernel adds the corrections of g_0^-e * x
+    and of that product * g_s^e into the copied derived dict."""
+    a, b, der = dict(x.a_part), dict(x.b_part), dict(x.derived)
+    if family == "a":
+        _collect(der, {0: -e}, {}, x.a_part, x.b_part)
+        _acc(a, ((0, -e),))
+        _collect(der, a, b, {s: e}, {})
+        _acc(a, ((s, e),))
+    else:
+        _collect(der, {}, {0: -e}, x.a_part, x.b_part)
+        _acc(b, ((0, -e),))
+        _collect(der, a, b, {}, {s: e})
+        _acc(b, ((s, e),))
+    return DElement(a, b, _clean(der))
+
+
 def d_inv(x: DElement) -> DElement:
     # x x^-1 = 1 leaves -x.derived - corr(x, x^-1), and the correction is
     # bilinear in the abelian parts, so -corr(x, x^-1) = corr(x, x)
@@ -279,3 +301,13 @@ def is_identity_d(x: DElement, d) -> bool:
     """Triviality test under the relators c_{2^j}^{d(j)}: x is central and
     no coordinate survives (_surviving_c)."""
     return is_in_C(x) and _surviving_c(x, d) is None
+
+
+def d_equal(x: DElement, y: DElement, d) -> bool:
+    """Equality in D under the relators, without a product: when the a-
+    and b-parts, which the relators never touch, agree, x^-1 y is the
+    central difference of the derived parts."""
+    if x.a_part != y.a_part or x.b_part != y.b_part:
+        return False
+    diff = _acc(dict(y.derived), ((key, -v) for key, v in x.derived.items()))
+    return is_identity_d(DElement({}, {}, diff), d)

@@ -32,9 +32,8 @@ hold only nonzero, reduced coordinates, so equal elements compare equal
 and no operation pays for the O(I^2) full layout. One fold on D's
 collection kernel, FoldedQuotient._fold, builds every element: image,
 rotate and from_parts call it, and mul and inv rotate through it.
-image_is_trivial settles most elements before it, from the t-exponent,
-the residue sums of the a- and b-exponents, or the folded C exponents of
-a central element.
+image_is_trivial settles an element before it from its t-exponent, or
+from the folded C exponents when it is central.
 Elements are values: no operation mutates its arguments, and a caller
 that needs a hashable key freezes the dicts itself. A FiniteQuotientSpec
 stores its moduli flat, (M(1), ..., M(I//2)), builds its FoldedQuotient
@@ -199,34 +198,15 @@ class FoldedQuotient:
     def conj(self, x, g):
         return self.mul(self.inv(g), self.mul(x, g))
 
-    def _residues_vanish(self, part) -> bool:
-        """Whether every residue sum mod I of part's exponents is 0 mod m:
-        the folded a- or b-part, before collection, which never moves an
-        exponent between residues."""
-        if not part:
-            return True
-        I, m = self.I, self.m
-        sums: dict = {}
-        get = sums.get
-        for i, e in part.items():
-            r = i % I
-            sums[r] = get(r, 0) + e
-        return not any(v % m for v in sums.values())
-
     def image_is_trivial(self, g: GElement) -> bool:
-        """not any(image(g)), settled before the full fold when it can be:
-        a t-exponent off the multiples of I, or a residue sum of the a- or
-        b-exponents off the multiples of m, leaves a nontrivial image; a
-        central g folds its ("C", k) keys through _acc_terms alone. Any
-        other g takes the full _fold."""
+        """not any(image(g)). A t-exponent off the multiples of I leaves a
+        nontrivial image, and a central g folds its ("C", k) keys through
+        _acc_terms alone; any other g takes the full _fold."""
         if g.t_exp % self.I:
             return False
         h = g.d_part
         a, b, der = h.a_part, h.b_part, h.derived
-        if a or b:
-            if not (self._residues_vanish(a) and self._residues_vanish(b)):
-                return False
-        else:
+        if not (a or b):
             for key in der:
                 if key[0] != "C":
                     break

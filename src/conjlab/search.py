@@ -12,9 +12,9 @@ depth first in the order of itertools.product, so at most one conjugate
 per depth is alive. Each conjugate comes from its parent's: if
 c_w = w^-1 g1 w then c_wx = x^-1 c_w x, with no word text parsed. For
 c_w = (h, s) and a letter x of D that is x^-1 h phi_s(x), one copy of
-h's dicts and two one-letter calls of the collection kernel (_conj_step);
-a t-letter shifts h. Two exact prunings keep the walk's result and
-counts those of the plain enumeration:
+h's dicts and two one-letter calls of the collection kernel
+(nilpotent.d_letter_conj); a t-letter shifts h. Two exact prunings keep
+the walk's result and counts those of the plain enumeration:
 
 * a word with a cancelling pair (tT, Tt, aA, Aa, bB, Bb) equals a word
   two letters shorter, which an earlier phase already tested without a
@@ -22,9 +22,9 @@ counts those of the plain enumeration:
 * the relators only touch central C coordinates, so a conjugate equal
   to g2 has g2's t-exponent and g2's a- and b-parts. Conjugation keeps
   the t-exponent, so a mismatch there fails a whole phase at once;
-  otherwise, when the a- and b-parts agree, the two differ by the
-  central difference of their derived parts, whose triviality
-  is_identity_d decides.
+  otherwise the D-parts are compared by nilpotent.d_equal, which
+  tests the central difference of the derived parts only when the a-
+  and b-parts agree.
 
 The quotient ladder of each d is sorted once as flat keys: a grid
 position and the float log2 order of every Q(I, m), about 130 KB, with
@@ -56,8 +56,8 @@ from typing import Optional
 
 from .conjugacy import conjugacy_decide
 from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
-from .nilpotent import DElement, _acc, _clean, _collect, central_c, d_mul, \
-    generator_a, is_identity_d, phi_shift
+from .nilpotent import central_c, d_equal, d_letter_conj, d_mul, \
+    generator_a, phi_shift
 from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
     c_moduli_from_bounds, quotient_conjugate_exact, quotient_is_well_defined, \
     quotient_order, spec_from_bounds
@@ -216,60 +216,26 @@ _STEPS = tuple((x.lower(), 1 if x.islower() else -1) for x in _LETTERS)
 _CANCELS = tuple(_LETTERS.index(x.swapcase()) for x in _LETTERS)
 
 
-def _conj_step(c: GElement, letter: int) -> GElement:
-    """g_conj(c, x) for the letter x = _LETTERS[letter], in one pass.
-
-    t^-e (h, s) t^e is (phi_-e(h), s). For x = a_0^e or b_0^e it is
-    (x^-1 h phi_s(x), s): h's dicts are copied once, and the kernel adds
-    the corrections of x^-1 * h and of that product * x_s^e into the
-    copied derived dict."""
-    h, s = c.d_part, c.t_exp
-    kind, e = _STEPS[letter]
-    if kind == "t":
-        return GElement(phi_shift(h, -e), s)
-    a, b, der = dict(h.a_part), dict(h.b_part), dict(h.derived)
-    if kind == "a":
-        _collect(der, {0: -e}, {}, h.a_part, h.b_part)
-        _acc(a, ((0, -e),))
-        _collect(der, a, b, {s: e}, {})
-        _acc(a, ((s, e),))
-    else:
-        _collect(der, {}, {0: -e}, h.a_part, h.b_part)
-        _acc(b, ((0, -e),))
-        _collect(der, a, b, {}, {s: e})
-        _acc(b, ((s, e),))
-    return GElement(DElement(a, b, _clean(der)), s)
-
-
-def _equal_same_t(c: GElement, g2: GElement, d) -> bool:
-    """g_equal(c, g2, d) for elements of equal t-exponent. The a- and
-    b-parts, which the relators never touch, are compared first; when
-    they agree, c^-1 g2 is a shift of the central difference of the
-    derived parts, and a shift fixes every C key."""
-    h, h2 = c.d_part, g2.d_part
-    if h.a_part != h2.a_part or h.b_part != h2.b_part:
-        return False
-    diff = _acc(dict(h2.derived), ((key, -v) for key, v in h.derived.items()))
-    return is_identity_d(DElement({}, {}, diff), d)
-
-
 def _word_phase(g1: GElement, g2: GElement, d, length: int):
     """The first word of this length, in the order of
     product(_LETTERS, repeat=length), that conjugates g1 to g2, with its
     1-based position in that order; (None, 6**length) when none does.
 
-    Depth-first from a prefix stack: conj[k] is g1 conjugated by the
-    first k letters of path. Conjugation keeps the t-exponent, so a
-    mismatch settles every word at once. Words with a cancelling pair
+    Depth-first from a prefix stack: conj[k] is the D-part of g1
+    conjugated by the first k letters of path. Conjugation keeps the
+    t-exponent s, so a mismatch settles every word at once, and
+    otherwise every conjugate is (conj[k], s). Words with a cancelling pair
     are counted but not built (see the module docstring); the caller
     only reaches this length after every shorter one failed.
     """
     n = len(_LETTERS)
-    if g1.t_exp != g2.t_exp:
+    s = g1.t_exp
+    if s != g2.t_exp:
         return None, n ** length
+    h2 = g2.d_part
     if length == 0:
-        return ("" if _equal_same_t(g1, g2, d) else None), 1
-    path, conj = [], [g1]
+        return ("" if d_equal(g1.d_part, h2, d) else None), 1
+    path, conj = [], [g1.d_part]
     reached = 0
     i = 0
     while True:
@@ -283,14 +249,18 @@ def _word_phase(g1: GElement, g2: GElement, d, length: int):
             reached += n ** (length - len(path) - 1)
             i += 1
             continue
-        c = _conj_step(conj[-1], i)
+        family, e = _STEPS[i]
+        if family == "t":
+            c = phi_shift(conj[-1], -e)
+        else:
+            c = d_letter_conj(conj[-1], family, e, s)
         if len(path) + 1 < length:
             path.append(i)
             conj.append(c)
             i = 0
             continue
         reached += 1
-        if _equal_same_t(c, g2, d):
+        if d_equal(c, h2, d):
             return " ".join(_LETTERS[j] for j in path + [i]), reached
         i += 1
 

@@ -13,7 +13,8 @@ from conjlab.conjugacy import conjugacy_decide
 from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
     g_t, parse_word
 from conjlab.machine import parse_program
-from conjlab.nilpotent import central_c, d_element, d_mul, generator_a
+from conjlab.nilpotent import central_c, d_element, d_equal, \
+    d_letter_conj, d_mul, generator_a, phi_shift
 from conjlab.quotients import FiniteQuotientSpec, FoldedQuotient, \
     make_spec, quotient_is_well_defined, required_c_modulus
 from conjlab.search import (
@@ -332,9 +333,10 @@ def test_word_phase_memory_is_per_depth():
     assert peak < 32 * 2 ** 10
 
 
-def test_conj_step_matches_g_conj():
-    # the one-pass child of the word walk is g_conj by the letter, for
-    # every letter and t-exponent -3..3, the identity included
+def test_word_step_matches_g_conj():
+    # the word walk's child of (h, s) under a letter, one d_letter_conj
+    # call or one shift, is g_conj by the letter, for every letter and
+    # t-exponent -3..3, the identity included
     rng = random.Random(14)
     pool = [GElement()]
     for t in range(-3, 4):
@@ -343,8 +345,11 @@ def test_conj_step_matches_g_conj():
             pool.append(g_mul(g, g_t(t - g.t_exp)))
     assert {c.t_exp for c in pool} == set(range(-3, 4))
     for c in pool:
-        for i, letter in enumerate("tabTAB"):
-            assert search._conj_step(c, i) == g_conj(c, parse_word(letter)), \
+        h, s = c.d_part, c.t_exp
+        for letter, (family, e) in zip(search._LETTERS, search._STEPS):
+            step = phi_shift(h, -e) if family == "t" else \
+                d_letter_conj(h, family, e, s)
+            assert GElement(step, s) == g_conj(c, parse_word(letter)), \
                 (c, letter)
 
 
@@ -352,9 +357,9 @@ def _derived(der):
     return GElement(d_element(derived=der))
 
 
-def test_equal_same_t_matches_g_equal():
-    # pairs of equal t-exponent g and g z, with z non-central, central and
-    # surviving, or central and dying
+def test_d_equal_matches_g_equal():
+    # the word walk's leaf test: pairs of equal t-exponent g and g z, with
+    # z non-central, central and surviving, or central and dying
     rng = random.Random(15)
     differences = {
         "noncentral": [parse_word("b[1]"), _derived({("AA", 0, 2): 1}),
@@ -371,7 +376,7 @@ def test_equal_same_t_matches_g_equal():
         for kind, zs in differences.items():
             for z in zs:
                 g2 = g_mul(g, z)
-                equal = search._equal_same_t(g, g2, D_TABLE)
+                equal = d_equal(g.d_part, g2.d_part, D_TABLE)
                 assert equal == g_equal(g, g2, D_TABLE), (g, z)
                 assert equal == (kind == "dying"), (g, z)
 
