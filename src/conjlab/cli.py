@@ -42,7 +42,7 @@ from .extension import (
 )
 from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_mul, generator_a, generator_b
-from .quotients import make_spec
+from .quotients import c_bounds, solve_congruences, spec_from_bounds
 from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
     mckinsey_search
 from .sepfunc import parse_d_spec
@@ -241,6 +241,14 @@ def _selftest_checks(rng: random.Random):
         three = hnf_solve(IntegerLinearSystem(((1, 2), (3, 4)), (5, 6)))
         return one == (2,) and two is None and three is None
 
+    def congruence_examples():
+        # mod 9 the only pivot, 3, has valuation 1: 3x + 6y = 3 is
+        # solvable and 3x + 6y = 4 is not
+        one = solve_congruences([({0: 3, 1: 6}, 3, 9)], 9)
+        two = solve_congruences([({0: 3, 1: 6}, 4, 9)], 9)
+        return one is not None and two is None and \
+            (3 * one.get(0, 0) + 6 * one.get(1, 0) - 3) % 9 == 0
+
     def witness_word_parses():
         d = parse_d_spec(DEFAULT_D)
         for k in (1, 2, 5):
@@ -262,7 +270,7 @@ def _selftest_checks(rng: random.Random):
 
     def quotient_order():
         d = parse_d_spec("table:2,31,127,1021,8191")
-        return make_spec(2, 2, d).order() == 2048
+        return spec_from_bounds(2, 2, c_bounds(2, d)).order() == 2048
 
     def table_goldens():
         d = parse_d_spec(DEFAULT_D)
@@ -291,6 +299,7 @@ def _selftest_checks(rng: random.Random):
         ("twisted derived solver", twisted_derived_example),
         ("commutator equation", commutator_example),
         ("hermite solver", hermite_examples),
+        ("congruence solver", congruence_examples),
         ("relator witness words", witness_word_parses),
         ("spell and reparse", spell_roundtrip),
         ("quotient order", quotient_order),

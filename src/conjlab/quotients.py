@@ -42,9 +42,14 @@ long as the spec. Its order is the closed formula quotient_order(I, m,
 moduli), which the search ladder also reads without building a spec.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
-time polynomial in I rather than in the group order. finite_conjugate
-enumerates the whole quotient; it is the reference that the exact route
-is checked against on orders up to a few thousand.
+time polynomial in I rather than in the group order: the abelianized
+equation is solved orbit by orbit of the index shift, and the derived
+coordinates cycle by cycle of their rotation (_derived_stage), which
+leaves one small system of congruences, a row per cycle and per central
+key, solved modulo m by solve_congruences with pivots of least p-adic
+valuation. quotient_conjugator returns the conjugator itself.
+finite_conjugate enumerates the whole quotient; it is the reference that
+the exact route is checked against on orders up to a few thousand.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 
-from .conjugacy import IntegerLinearSystem, commutator_bilinear, hnf_solve
+from .conjugacy import commutator_bilinear
 from .extension import GElement
 from .nilpotent import _collect, _mul_correction, aa_terms, ab_terms, \
     bb_terms
@@ -433,21 +438,149 @@ def _orbit_chain_solve(delta, s, I, m):
     return {p: v for p, v in enumerate(h) if v}, orbits
 
 
-def _orbit_closure(fq, key, s):
-    """The rotation orbit of a non-central key under shifts by s, plus
-    every central key of modulus > 1 those rotations touch. Rotation by s
-    sends each non-central key to exactly one, so the orbit is a cycle,
-    walked here under +s; it is also the orbit under -s."""
-    nonc, cs = set(), set()
-    cur = key
-    while cur not in nonc:
-        nonc.add(cur)
-        for nk in fq.rotate(({}, {}, {cur: 1}, 0), s)[2]:
-            if nk[0] == "C":
-                cs.add(nk)
+def _key_cycle(fq, key, s):
+    """The rotation cycle of a non-central folded key under +s, walked
+    from key: for each key K on it, (K, sign, wrap), where rotating K by
+    s gives sign times the next key of the cycle, plus wrap.
+
+    AA and BB keys change sign when their residues swap order. An AB key
+    keeps its sign; when its residues swap, [a_i, b_j] with i > j is
+    AB(j, i) c_{i-j}^-1, so wrap is that central key, folded, with its
+    coefficient, or None when the central index has modulus 1."""
+    I, c_mod = fq.I, fq.c_mod
+    start = key
+    while True:
+        kind, i, j = key
+        i, j = (i + s) % I, (j + s) % I
+        wrap = None
+        if i <= j:
+            nxt, sign = (kind, i, j), 1
+        elif kind != "AB":
+            nxt, sign = (kind, j, i), -1
+        else:
+            nxt, sign = ("AB", j, i), 1
+            k = i - j
+            ck, v = (("C", I - k), 1) if 2 * k > I else (("C", k), -1)
+            if ck in c_mod:
+                wrap = ck, v
+        yield key, sign, wrap
+        key = nxt
+        if key == start:
+            return
+
+
+def solve_congruences(rows, m):
+    """One solution of a system of linear congruences, or None.
+
+    Each row is (coefficients, rhs, modulus): a dict column -> integer
+    and the congruence sum(coefficients[c] * x[c]) = rhs mod modulus, with
+    modulus dividing m. The answer is a dict column -> x[c] in 1..m-1;
+    every other column is 0. The system is solved modulo each prime power
+    q of m (a row of modulus M is scaled by q / gcd(M, q)), and the parts
+    are joined by the Chinese remainder theorem."""
+    x: dict = {}
+    for q in _prime_power_factors(m):
+        part = _solve_prime_power(rows, q)
+        if part is None:
+            return None
+        r = m // q
+        lift = r * pow(r, -1, q) % m  # 1 mod q, 0 mod every other factor
+        for c, v in part.items():
+            v = (x.get(c, 0) + v * lift) % m
+            if v:
+                x[c] = v
             else:
-                cur = nk
-    return nonc, cs
+                x.pop(c, None)
+    return x
+
+
+def _prime_power_factors(m):
+    """The largest power of each prime dividing m, the primes ascending."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            out.append(q)
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _solve_prime_power(rows, q):
+    """solve_congruences modulo a prime power q by elimination, each pivot
+    an entry of least p-adic valuation among the rows left, that is of
+    least gcd with q (Howell 1986; Storjohann and Mulders 1998). Every
+    other entry of the rows left is then divisible by the pivot's part
+    g = gcd(pivot, q), so the pivot clears its column by exact division,
+    and in back-substitution the pivot row is solvable exactly when its
+    right-hand side is divisible by g, whatever its later columns hold."""
+    system = []
+    for coeffs, rhs, mod in rows:
+        scale = q // math.gcd(mod, q)
+        row = {}
+        for c, v in coeffs.items():
+            v = v * scale % q
+            if v:
+                row[c] = v
+        b = rhs * scale % q
+        if row:
+            system.append((row, b))
+        elif b:
+            return None
+    pivots = []
+    while system:
+        best = None
+        for n, (row, _) in enumerate(system):
+            for c, v in row.items():
+                g = math.gcd(v, q)
+                if best is None or g < best[0]:
+                    best = g, n, c
+                    if g == 1:
+                        break
+            if best[0] == 1:
+                break
+        g, n, c = best
+        prow, pb = system[n]
+        system[n] = system[-1]
+        system.pop()
+        uinv = pow(prow[c] // g, -1, q)
+        rest = []
+        for row, b in system:
+            v = row.get(c)
+            if v:
+                f = v // g * uinv % q
+                for cc, pv in prow.items():
+                    w = (row.get(cc, 0) - f * pv) % q
+                    if w:
+                        row[cc] = w
+                    else:
+                        row.pop(cc, None)
+                b = (b - f * pb) % q
+                if not row:
+                    if b:
+                        return None
+                    continue
+            rest.append((row, b))
+        system = rest
+        pivots.append((c, g, uinv, prow, pb))
+    x: dict = {}
+    for c, g, uinv, prow, pb in reversed(pivots):
+        acc = pb
+        for cc, v in prow.items():
+            if cc != c:
+                acc -= v * x.get(cc, 0)
+        acc %= q
+        if acc % g:
+            return None
+        v = acc // g * uinv % q
+        if v:
+            x[c] = v
+    return x
 
 
 def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
@@ -456,44 +589,81 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
 
     For each t-power of the conjugator below gcd(s, I), s the common
     t-exponent, the abelianized twisted equation is solved orbit by
-    orbit; its kernel (one constant per orbit) and the conjugator's
-    derived coordinates then enter one integer linear system over the
-    rotation closure of the relevant derived coordinates, with per-row
-    modulus slack.
+    orbit; its kernel, one generator per orbit, and the conjugator's
+    derived coordinates then meet in _derived_stage, which walks the
+    rotation cycles of the derived coordinates and solves what is left
+    modulo m (solve_congruences).
     """
+    return x == y or _exact_route(spec.folded(), x, y) is not None
+
+
+def quotient_conjugator(x, y, spec: FiniteQuotientSpec):
+    """A conjugator g with conj(x, g) == y in the quotient, or None when
+    quotient_conjugate_exact(x, y, spec) is False: g = t^n h0 kappa delta,
+    a t-power, the particular abelian solution, powers of the orbit
+    generators, and derived coordinates walked along their cycles."""
     fq = spec.folded()
-    I, m = spec.index_modulus, spec.exponent_modulus
     if x == y:
-        return True
+        return fq.identity()
+    found = _exact_route(fq, x, y)
+    if found is None:
+        return None
+    n, h0, (gens, at, rhs, cycles, sol) = found
+    g = fq.mul(fq.from_parts(t=n), h0)
+    for c, (b_family, orbit) in enumerate(gens):
+        v = sol.get(c)
+        if v:
+            ones = dict.fromkeys(orbit, 1)
+            gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
+            g = fq.mul(g, _power(fq, gen, v))
+    delta: dict = {}
+    base = len(gens)
+    for idx, start in enumerate(cycles):
+        # delta at the next key is sign * delta here plus that key's
+        # kappa terms minus its right-hand side
+        d = sol.get(base + idx, 0)
+        carry = 0
+        for key, sign, _ in _key_cycle(fq, start, x[3]):
+            if key != start:
+                d = (carry - rhs.get(key, 0)
+                     + sum(w * sol.get(c, 0) for c, w in at.get(key, ()))) \
+                    % fq.m
+            if d:
+                delta[key] = d
+            carry = sign * d
+    return fq.mul(g, fq.from_parts(derived=delta))
+
+
+def _exact_route(fq, x, y):
+    """(n, h0, the solved _derived_stage) for the first t-power n under
+    which x and y are conjugate, or None."""
     if x[3] != y[3]:
-        return False
+        return None
+    I, m = fq.I, fq.m
     s = x[3]
     # x centralises itself, so g and x g conjugate x alike, and their
     # t-powers differ by s: the t-powers mod gcd(s, I) cover every class
     for n in range(math.gcd(s, I)):
         xr = fq.rotate(x, -n)
         solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
+        if solved_a is None:
+            continue
         solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
-        if solved_a is None or solved_b is None:
+        if solved_b is None:
             continue
         h0a, orbits_a = solved_a
         h0b, orbits_b = solved_b
-        h0 = fq.from_parts(a=h0a, b=h0b)
-        mid = fq.conj(xr, h0)
-        if mid[0] != y[0] or mid[1] != y[1]:
-            raise AssertionError("abelianized stage lost synchronization")
-        rest = _derived_stage(fq, mid, y, s, orbits_a, orbits_b)
-        if rest is None:
-            continue
-        kappa, delta_der = rest
-        g = fq.from_parts(t=n)
-        g = fq.mul(g, h0)
-        g = fq.mul(g, kappa)
-        g = fq.mul(g, fq.from_parts(derived=delta_der))
-        if fq.conj(x, g) != y:
-            raise AssertionError("derived stage produced a bad conjugator")
-        return True
-    return False
+        if h0a or h0b:
+            h0 = fq.from_parts(a=h0a, b=h0b)
+            mid = fq.conj(xr, h0)
+            if mid[0] != y[0] or mid[1] != y[1]:
+                raise AssertionError("abelianized stage lost synchronization")
+        else:  # the a- and b-parts already agree
+            h0, mid = fq.identity(), xr
+        stage = _derived_stage(fq, mid, y, s, orbits_a, orbits_b)
+        if stage is not None:
+            return n, h0, stage
+    return None
 
 
 def _minus(fq, y, x):
@@ -519,87 +689,114 @@ def _power(fq, x, n):
 
 def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     """Match the derived coordinates of mid to y by a rotation-invariant
-    abelian conjugator plus a derived conjugator part.
+    abelian conjugator kappa plus a derived conjugator part delta.
 
-    The invariant part is parametrized by powers of one generator per
-    index orbit (the ascending product of that orbit's a's or b's). Per
-    unit power such a generator contributes its commutator with mid's
-    abelianization plus the central cost of rotating the generator
-    itself, so the whole stage stays one integer linear system. Returns
-    (kappa element, derived coordinate dict) or None."""
-    I, m, c_mod = fq.I, fq.m, fq.c_mod
+    kappa is a product of powers of one generator per index orbit, the
+    ascending product of that orbit's a's or b's. Per unit power such a
+    generator adds its commutator with mid's abelianization plus the
+    central cost of rotating the generator itself (a kappa column).
+    delta adds rotate(delta, s) - delta. On a rotation cycle K_0 -> K_1
+    -> ... of non-central keys, where rotation carries sign e_j from K_j
+    to K_(j+1), the coordinate of K_(j+1) reads
+
+        e_j delta(K_j) - delta(K_(j+1)) + kappa terms = rhs(K_(j+1)),
+
+    so walking the cycle from delta(K_0) = c gives every delta(K_j) in
+    closed form, one closure row when the walk returns to K_0, and one
+    free constant c. An AB key whose residues swap also pays a central
+    coordinate (see _key_cycle), which puts delta(K_j) into that central
+    row. Only cycles that some kappa column or rhs reaches are walked;
+    on any other cycle delta is one constant whose central payments
+    cancel around the cycle, except at the 2-torsion c_(I/2), whose
+    cycles are walked when that row is present. The rows left, one per
+    cycle and one per central key, over the kappa columns and the cycle
+    constants, go to solve_congruences modulo m; a central row keeps its
+    own modulus M(k).
+
+    Returns (generators, the kappa terms per key, rhs, the cycle starts,
+    the solution), or None. Column c < len(generators) is the power of
+    generator c, given as (b family?, orbit); column len(generators) + i
+    is the constant of cycle i."""
+    I, m = fq.I, fq.m
     ma, mb = mid[0], mid[1]
-    kappa_cols = []
-    orbit_gens = []
-    for family, orbits in (("a", orbits_a), ("b", orbits_b)):
+    gens = []
+    at: dict = {}  # key -> [(kappa column, its coefficient at key)]
+    for b_family, orbits in ((False, orbits_a), (True, orbits_b)):
         for orbit in orbits:
             ones = dict.fromkeys(orbit, 1)
-            xi_a, xi_b = (ones, {}) if family == "a" else ({}, ones)
-            gen = fq.from_parts(a=xi_a, b=xi_b)
-            wa, wb, wd, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
-            if wa or wb:
-                raise AssertionError("orbit generator rotation left the centre")
-            terms = commutator_bilinear(ma, mb, xi_a, xi_b).items()
-            orbit_gens.append(gen)
-            kappa_cols.append(fq._acc_terms(wd, terms))
+            col: dict = {}
+            if s:  # rotation is the identity at s = 0, and costs nothing
+                raw: dict = {}
+                fq._place(raw, ones, s, b_family)
+                fq._acc_terms(col, raw.items())
+            xi_a, xi_b = ({}, ones) if b_family else (ones, {})
+            fq._acc_terms(col, commutator_bilinear(ma, mb, xi_a, xi_b).items())
+            if col:
+                for key, v in col.items():
+                    at.setdefault(key, []).append((len(gens), v))
+                gens.append((b_family, orbit))
 
-    rhs_keys = fq._acc_terms(dict(y[2]),
-                             ((key, -v) for key, v in mid[2].items()))
+    rhs = fq._acc_terms(dict(y[2]), ((key, -v) for key, v in mid[2].items()))
 
-    seeds = set(rhs_keys)
-    for col in kappa_cols:
-        seeds.update(col)
-    nonc_rel: set = set()
-    c_rel: set = set()
-    for key in seeds:
+    central = {}  # central key -> [its row's coefficients, its rhs]
+    starts = []
+    for key in set(rhs).union(at):
         if key[0] == "C":
-            c_rel.add(key)
+            central[key] = [dict(at.get(key, ())), rhs.get(key, 0)]
+        else:
+            starts.append(key)
+    starts.sort()
+    rows = []
+    cycles = []
+    seen: set = set()
+    base = len(gens)
+    for start in _cycle_starts(starts, central, I):
+        if start in seen:
             continue
-        oc, cs = _orbit_closure(fq, key, s)
-        nonc_rel |= oc
-        c_rel |= cs
-    if I % 2 == 0 and ("C", I // 2) in c_rel:
-        # every wrap of [a_i, b_{i+I/2}] past the fold costs the 2-torsion
-        # c_{I/2}, so a derived conjugator part on such an orbit can move
-        # that coordinate although no other coefficient reaches the orbit
-        for i in range(I // 2):
-            nonc_rel |= _orbit_closure(fq, ("AB", i, i + I // 2), s)[0]
-    row_keys = sorted(nonc_rel) + sorted(c_rel)
-    if not row_keys:
-        return fq.identity(), {}
-    delta_cols = sorted(nonc_rel)
-
-    row_pos = {key: r for r, key in enumerate(row_keys)}
-    base = len(kappa_cols)
-    slack = base + len(delta_cols)
-    rows = [[0] * (slack + len(row_keys)) for _ in row_keys]
-    rhs = [rhs_keys.get(key, 0) for key in row_keys]
-    for c, col in enumerate(kappa_cols):
-        for key, v in col.items():
-            rows[row_pos[key]][c] = v
-    for c, key in enumerate(delta_cols):
-        # conjugating by the derived part contributes (rotate by s) - id
-        rows[row_pos[key]][base + c] -= 1
-        for nk, v in fq.rotate(({}, {}, {key: 1}, 0), s)[2].items():
-            # centred: -1 rather than its reduced form mod - 1 keeps the
-            # numbers in hnf_solve small (twice as fast at I = 16)
-            mod = c_mod.get(nk, m)
-            rows[row_pos[nk]][base + c] += v - mod if 2 * v > mod else v
-    for r, key in enumerate(row_keys):
-        rows[r][slack + r] = c_mod.get(key, m)
-
-    solution = hnf_solve(IntegerLinearSystem(tuple(tuple(r) for r in rows),
-                                             tuple(rhs)))
-    if solution is None:
+        col = base + len(cycles)
+        cycles.append(start)
+        # u = sign_j delta(K_j) = c + lin . kappa + const, where sign_j is
+        # the product of the signs before K_j. Only AB keys wrap, and an
+        # AB cycle keeps sign_j = 1, so a wrap at K_j pays v u.
+        lin: dict = {}
+        const = 0
+        sign_j = 1
+        for key, sign, wrap in _key_cycle(fq, start, s):
+            seen.add(key)
+            if key != start:
+                for c, v in at.get(key, ()):
+                    lin[c] = lin.get(c, 0) + sign_j * v
+                const -= sign_j * rhs.get(key, 0)
+            if wrap:
+                ck, v = wrap
+                row = central.setdefault(ck, [{}, 0])
+                coeffs = row[0]
+                coeffs[col] = coeffs.get(col, 0) + v
+                for c, w in lin.items():
+                    coeffs[c] = coeffs.get(c, 0) + v * w
+                row[1] -= v * const
+            sign_j *= sign
+        for c, v in at.get(start, ()):
+            lin[c] = lin.get(c, 0) + sign_j * v
+        const -= sign_j * rhs.get(start, 0)
+        # back at K_0, sign_L u = c: (1 - sign_L) c + lin . kappa = -const
+        if sign_j < 0:
+            lin[col] = 2
+        rows.append((lin, -const, m))
+    c_mod = fq.c_mod
+    rows.extend((coeffs, b, c_mod[ck]) for ck, (coeffs, b) in central.items())
+    sol = solve_congruences(rows, m)
+    if sol is None:
         return None
-    kappa = fq.identity()
-    for idx, gen in enumerate(orbit_gens):
-        v = solution[idx] % m
-        if v:
-            kappa = fq.mul(kappa, _power(fq, gen, v))
-    delta_der: dict = {}
-    for idx, key in enumerate(delta_cols):
-        v = solution[base + idx] % m
-        if v:
-            delta_der[key] = v
-    return kappa, delta_der
+    return gens, at, rhs, cycles, sol
+
+
+def _cycle_starts(starts, central, I):
+    """The keys whose cycles _derived_stage walks: starts, then, once the
+    walk of their cycles has put the 2-torsion c_(I/2) into a row, one
+    key of each cycle of [a_i, b_(i+I/2)], every wrap of which pays
+    c_(I/2)."""
+    yield from starts
+    if I % 2 == 0 and ("C", I // 2) in central:
+        for i in range(I // 2):
+            yield "AB", i, i + I // 2

@@ -13,7 +13,7 @@ per depth is alive. Each conjugate comes from its parent's: if
 c_w = w^-1 g1 w then c_wx = x^-1 c_w x, with no word text parsed. For
 c_w = (h, s) and a letter x of D that is x^-1 h phi_s(x), one copy of
 h's dicts and two one-letter calls of the collection kernel
-(nilpotent.d_letter_conj); a t-letter shifts h. Two exact prunings keep
+(nilpotent.d_letter_conj); a t-letter shifts h. Three exact prunings keep
 the walk's result and counts those of the plain enumeration:
 
 * a word with a cancelling pair (tT, Tt, aA, Aa, bB, Bb) equals a word
@@ -24,7 +24,16 @@ the walk's result and counts those of the plain enumeration:
   the t-exponent, so a mismatch there fails a whole phase at once;
   otherwise the D-parts are compared by nilpotent.d_equal, which
   tests the central difference of the derived parts only when the a-
-  and b-parts agree.
+  and b-parts agree;
+* with P(h) the a- and b-parts of h as Laurent polynomials in X, an a-
+  or b-letter adds +-(X^s - 1) e_x to P and a t-letter multiplies it by
+  X^-+1, so every conjugate has P(c_w) = X^sigma P(g1) modulo X^s - 1,
+  sigma the net shift of w (the invariant; modulo 0 for s = 0). A hit
+  needs P(c_w) = P(g2), so a final shift f with X^f P(g1) = P(g2)
+  modulo X^s - 1. A prefix at net shift sigma with r letters left ends
+  within r of sigma, so its subtree is counted but not built when no
+  final shift lies that close, and a phase with no final shift in
+  -L..L fails at once (_shift_window).
 
 The quotient ladder of each d is sorted once as flat keys: a grid
 position and the float log2 order of every Q(I, m), about 130 KB, with
@@ -222,20 +231,25 @@ def _word_phase(g1: GElement, g2: GElement, d, length: int):
     1-based position in that order; (None, 6**length) when none does.
 
     Depth-first from a prefix stack: conj[k] is the D-part of g1
-    conjugated by the first k letters of path. Conjugation keeps the
-    t-exponent s, so a mismatch settles every word at once, and
-    otherwise every conjugate is (conj[k], s). Words with a cancelling pair
-    are counted but not built (see the module docstring); the caller
-    only reaches this length after every shorter one failed.
+    conjugated by the first k letters of path, and shift[k] the net
+    shift of those letters. Conjugation keeps the t-exponent s, so a
+    mismatch settles every word at once, and otherwise every conjugate
+    is (conj[k], s). Words with a cancelling pair, and words whose net
+    shift cannot end in the window of _shift_window, are counted but not
+    built (see the module docstring); the caller only reaches this
+    length after every shorter one failed.
     """
     n = len(_LETTERS)
     s = g1.t_exp
     if s != g2.t_exp:
         return None, n ** length
-    h2 = g2.d_part
+    h1, h2 = g1.d_part, g2.d_part
     if length == 0:
-        return ("" if d_equal(g1.d_part, h2, d) else None), 1
-    path, conj = [], [g1.d_part]
+        return ("" if d_equal(h1, h2, d) else None), 1
+    window = _shift_window(h1, h2, s, length)
+    if window is None:
+        return None, n ** length
+    path, conj, shift = [], [h1], [0]
     reached = 0
     i = 0
     while True:
@@ -243,26 +257,64 @@ def _word_phase(g1: GElement, g2: GElement, d, length: int):
             if not path:
                 return None, reached
             conj.pop()
+            shift.pop()
             i = path.pop() + 1
             continue
+        left = length - len(path) - 1  # letters after this one
         if path and i == _CANCELS[path[-1]]:
-            reached += n ** (length - len(path) - 1)
+            reached += n ** left
             i += 1
             continue
         family, e = _STEPS[i]
+        sigma = shift[-1] - e if family == "t" else shift[-1]
+        if window[sigma] > left:
+            reached += n ** left
+            i += 1
+            continue
         if family == "t":
             c = phi_shift(conj[-1], -e)
         else:
             c = d_letter_conj(conj[-1], family, e, s)
-        if len(path) + 1 < length:
+        if left:
             path.append(i)
             conj.append(c)
+            shift.append(sigma)
             i = 0
             continue
         reached += 1
         if d_equal(c, h2, d):
             return " ".join(_LETTERS[j] for j in path + [i]), reached
         i += 1
+
+
+def _ab_mod(part: dict, n: int, shift: int = 0) -> dict:
+    """The exponents of part moved up by shift, read modulo X^n - 1 for
+    n > 0 (index i counts at i mod n) and exactly for n = 0."""
+    if not n:
+        return {i + shift: e for i, e in part.items()}
+    out: dict = {}
+    for i, e in part.items():
+        r = (i + shift) % n
+        out[r] = out.get(r, 0) + e
+    return {r: e for r, e in out.items() if e}
+
+
+def _shift_window(h1, h2, s: int, length: int):
+    """For each net shift sigma in -length..length, its distance to the
+    nearest final shift, or None when no word of this length can end at
+    one. A final shift f has X^f P(h1) = P(h2) modulo X^|s| - 1, P the
+    a- and b-parts as Laurent polynomials (exactly, for s = 0); a word
+    whose prefix reaches sigma with r letters left ends within r of
+    sigma."""
+    n = abs(s)
+    a2, b2 = _ab_mod(h2.a_part, n), _ab_mod(h2.b_part, n)
+    finals = [f for f in range(-length, length + 1)
+              if _ab_mod(h1.a_part, n, f) == a2
+              and _ab_mod(h1.b_part, n, f) == b2]
+    if not finals:
+        return None
+    return {sigma: min(abs(sigma - f) for f in finals)
+            for sigma in range(-length, length + 1)}
 
 
 def mckinsey_search(g1: GElement, g2: GElement, d,

@@ -19,6 +19,7 @@ packaged collection over random words is the correctness oracle for
 the whole coordinate layer.
 """
 
+import math
 import random
 from itertools import product
 from pathlib import Path
@@ -26,11 +27,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from conjlab.conjugacy import IntegerLinearSystem, commutator_bilinear, \
+    hnf_solve
 from conjlab.extension import GElement, g_conj, g_mul, parse_word
-from conjlab.nilpotent import DElement, d_element, d_inv, d_mul
-from conjlab.quotients import c_bounds, c_fold, quotient_order, \
-    spec_from_bounds
-from conjlab.search import I_LADDER
+from conjlab.nilpotent import DElement, d_element, d_equal, d_inv, \
+    d_letter_conj, d_mul, phi_shift
+from conjlab.quotients import _minus, _orbit_chain_solve, c_bounds, c_fold, \
+    quotient_order, spec_from_bounds
+from conjlab.search import I_LADDER, _CANCELS, _LETTERS, _STEPS
 from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
     parse_d_spec
 from conjlab.tables import MAX_TABLE_ORDER, FiniteGroupTable
@@ -398,3 +402,128 @@ def box_solutions(rows, rhs, bound):
                     dtype=np.int64)
     hits = (A @ grid.T == np.array(rhs, dtype=np.int64)[:, None]).all(axis=0)
     return [tuple(int(v) for v in row) for row in grid[hits]]
+
+
+def full_system_conjugate(x, y, spec):
+    """The reference for quotients.quotient_conjugate_exact: for each
+    t-power n of the conjugator below gcd(s, I) and the abelianized
+    solution h0, one integer system over every key of the rotation
+    closure of the relevant derived coordinates, with a column per orbit
+    generator, a column per non-central key for the derived conjugator
+    part, and a slack column per row for its modulus, solved by
+    hnf_solve."""
+    fq = spec.folded()
+    I, m = spec.index_modulus, spec.exponent_modulus
+    if x == y:
+        return True
+    if x[3] != y[3]:
+        return False
+    s = x[3]
+    for n in range(math.gcd(s, I)):
+        xr = fq.rotate(x, -n)
+        solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
+        solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
+        if solved_a is None or solved_b is None:
+            continue
+        (h0a, orbits_a), (h0b, orbits_b) = solved_a, solved_b
+        mid = fq.conj(xr, fq.from_parts(a=h0a, b=h0b))
+        assert mid[0] == y[0] and mid[1] == y[1]
+        if _full_system(fq, mid, y, s, orbits_a, orbits_b) is not None:
+            return True
+    return False
+
+
+def _full_system(fq, mid, y, s, orbits_a, orbits_b):
+    I, m, c_mod = fq.I, fq.m, fq.c_mod
+    ma, mb = mid[0], mid[1]
+    kappa_cols = []
+    for family, orbits in (("a", orbits_a), ("b", orbits_b)):
+        for orbit in orbits:
+            ones = dict.fromkeys(orbit, 1)
+            xi_a, xi_b = (ones, {}) if family == "a" else ({}, ones)
+            gen = fq.from_parts(a=xi_a, b=xi_b)
+            wa, wb, wd, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
+            assert not (wa or wb)
+            terms = commutator_bilinear(ma, mb, xi_a, xi_b).items()
+            kappa_cols.append(fq._acc_terms(wd, terms))
+    rhs_keys = fq._acc_terms(dict(y[2]),
+                             ((key, -v) for key, v in mid[2].items()))
+    seeds = set(rhs_keys)
+    for col in kappa_cols:
+        seeds.update(col)
+    nonc_rel, c_rel = set(), set()
+    for key in seeds:
+        if key[0] == "C":
+            c_rel.add(key)
+            continue
+        oc, cs = orbit_closure_search(fq, key, s)
+        nonc_rel |= oc
+        c_rel |= cs
+    if I % 2 == 0 and ("C", I // 2) in c_rel:
+        for i in range(I // 2):
+            nonc_rel |= orbit_closure_search(fq, ("AB", i, i + I // 2), s)[0]
+    row_keys = sorted(nonc_rel) + sorted(c_rel)
+    if not row_keys:
+        return ()
+    delta_cols = sorted(nonc_rel)
+    row_pos = {key: r for r, key in enumerate(row_keys)}
+    base = len(kappa_cols)
+    slack = base + len(delta_cols)
+    rows = [[0] * (slack + len(row_keys)) for _ in row_keys]
+    rhs = [rhs_keys.get(key, 0) for key in row_keys]
+    for c, col in enumerate(kappa_cols):
+        for key, v in col.items():
+            rows[row_pos[key]][c] = v
+    for c, key in enumerate(delta_cols):
+        rows[row_pos[key]][base + c] -= 1
+        for nk, v in fq.rotate(({}, {}, {key: 1}, 0), s)[2].items():
+            mod = c_mod.get(nk, m)
+            rows[row_pos[nk]][base + c] += v - mod if 2 * v > mod else v
+    for r, key in enumerate(row_keys):
+        rows[r][slack + r] = c_mod.get(key, m)
+    return hnf_solve(IntegerLinearSystem(tuple(map(tuple, rows)), tuple(rhs)))
+
+
+# ------------------------------------------------------- the word walk
+
+def unpruned_word_phase(g1: GElement, g2: GElement, d, length: int):
+    """The reference for search._word_phase: the same depth-first walk
+    over product("tabTAB", repeat=length) with the cancelling-pair
+    pruning only, every other child built and every leaf compared. The
+    first conjugating word and its 1-based position, or (None, 6**length).
+    """
+    n = len(_LETTERS)
+    s = g1.t_exp
+    if s != g2.t_exp:
+        return None, n ** length
+    h2 = g2.d_part
+    if length == 0:
+        return ("" if d_equal(g1.d_part, h2, d) else None), 1
+    path, conj = [], [g1.d_part]
+    reached = 0
+    i = 0
+    while True:
+        if i == n:
+            if not path:
+                return None, reached
+            conj.pop()
+            i = path.pop() + 1
+            continue
+        if path and i == _CANCELS[path[-1]]:
+            reached += n ** (length - len(path) - 1)
+            i += 1
+            continue
+        family, e = _STEPS[i]
+        if family == "t":
+            c = phi_shift(conj[-1], -e)
+        else:
+            c = d_letter_conj(conj[-1], family, e, s)
+        if len(path) + 1 < length:
+            path.append(i)
+            conj.append(c)
+            i = 0
+            continue
+        reached += 1
+        if d_equal(c, h2, d):
+            return " ".join(_LETTERS[j] for j in path + [i]), reached
+        i += 1

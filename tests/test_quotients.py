@@ -4,6 +4,7 @@ orders, and agreement between exhaustive and algebraic conjugacy."""
 import math
 import random
 from copy import deepcopy
+from itertools import product
 
 import pytest
 
@@ -13,20 +14,22 @@ from conjlab.nilpotent import central_c, d_element
 from conjlab.quotients import (
     FiniteQuotientSpec,
     FoldedQuotient,
-    _orbit_closure,
+    _key_cycle,
     _power,
     finite_conjugate,
     make_spec,
     quotient_conjugate_exact,
+    quotient_conjugator,
     quotient_is_well_defined,
     relator_folds,
     required_c_modulus,
+    solve_congruences,
 )
 from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
-from conftest import D_SPECS, c_survives, letters_to_g, load_d, log2_order, \
-    orbit_closure_search, random_letters
+from conftest import D_SPECS, c_survives, full_system_conjugate, \
+    letters_to_g, load_d, log2_order, orbit_closure_search, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -122,8 +125,18 @@ def test_orbit_cycle_walk_matches_search(d_spec):
             keys += [("AB", i, j) for i in range(I) for j in range(i, I)]
             for s in range(I):
                 for key in keys:
-                    assert _orbit_closure(fq, key, s) == \
-                        orbit_closure_search(fq, key, s), (I, m, s, key)
+                    cycle = list(_key_cycle(fq, key, s))
+                    walked = ({k for k, _, _ in cycle},
+                              {w[0] for _, _, w in cycle if w})
+                    assert walked == orbit_closure_search(fq, key, s), \
+                        (I, m, s, key)
+                    # each step is the rotation of a unit coordinate
+                    for (k, sign, wrap), (nk, _, _) in zip(
+                            cycle, cycle[1:] + cycle[:1]):
+                        want = {nk: sign % m}
+                        if wrap:
+                            want[wrap[0]] = wrap[1] % fq.c_mod[wrap[0]]
+                        assert fq.rotate(({}, {}, {k: 1}, 0), s)[2] == want
 
 
 # --------------------------------------------------------- central moduli
@@ -577,7 +590,9 @@ def test_exact_handles_huge_quotients():
     for _ in range(12):
         x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
         g = fq.image(letters_to_g(random_letters(rng, max_len=5)))
-        assert quotient_conjugate_exact(x, fq.conj(x, g), spec)
+        y = fq.conj(x, g)
+        assert quotient_conjugate_exact(x, y, spec)
+        assert fq.conj(x, quotient_conjugator(x, y, spec)) == y
     with pytest.raises(ValueError):
         finite_conjugate(fq.identity(), fq.identity(), spec)
 
@@ -601,3 +616,77 @@ def test_exact_conjugacy_respects_t_classes():
     assert not quotient_conjugate_exact(x, y, spec)
     assert quotient_conjugate_exact(x, fq.conj(x, fq.image(parse_word("b[1] t"))),
                                     spec)
+
+
+AGREEMENT_IS = (2, 3, 4, 6, 8, 12, 16)
+AGREEMENT_MS = (2, 3, 4, 6, 9, 31)
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_exact_route_agrees_with_full_system(d_spec):
+    # the cycle walk solved mod m and hnf_solve on the full system with
+    # slack columns agree on solvability, for conjugates and for central,
+    # derived and abelian translates of them, at s in {0, +-1, +-2, I/2};
+    # every conjugator the route returns conjugates x to y. The full
+    # system takes about 0.1 s a decision at I = 12 and 0.25 s at I = 16,
+    # so there the five d share out the shifts.
+    d = load_d(d_spec)
+    di = D_SPECS.index(d_spec)
+    rng = random.Random(f"agreement {d_spec}")
+    seen = set()
+    for k, I in enumerate(AGREEMENT_IS):
+        shifts = sorted({0, 1, -1, 2, -2, I // 2})
+        if I >= 12:
+            shifts = shifts[di::len(D_SPECS)]
+        for r, s in enumerate(shifts):
+            m = AGREEMENT_MS[(k + r + di) % len(AGREEMENT_MS)]
+            spec = make_spec(I, m, d)
+            fq = spec.folded()
+            x = fq.mul(fq.from_parts(t=s), fq.image(letters_to_g(
+                random_letters(rng, max_len=4, families="abc"))))
+            g = fq.image(letters_to_g(random_letters(rng, max_len=3)))
+            y = fq.conj(x, g)
+            others = (y, fq.mul(y, fq.image(parse_word("c[1]"))),
+                      fq.mul(y, fq.from_parts(derived={("AB", 0, I // 2): 1})),
+                      fq.mul(y, fq.image(parse_word(rng.choice("ab")))))
+            # past I = 6 the derived translate is left out, and the
+            # abelian one costs no system
+            for other in others if I < 8 else others[:2] + others[3:]:
+                got = quotient_conjugate_exact(x, other, spec)
+                assert got == full_system_conjugate(x, other, spec), \
+                    (spec, x, other)
+                conj = quotient_conjugator(x, other, spec)
+                assert (conj is not None) == got
+                if got:
+                    assert fq.conj(x, conj) == other, (spec, x, other)
+                seen.add((I, got))
+    assert seen >= {(I, got) for I in AGREEMENT_IS if I < 12
+                    for got in (True, False)}
+
+
+def test_solve_congruences_matches_brute_force():
+    # random systems of 1-3 rows in 1-3 columns, each row modulo a
+    # divisor of m, against every x in (Z/m)^cols; m covers prime powers,
+    # where pivots of valuation 1 and 2 occur, and composite m
+    rng = random.Random(61)
+    seen = set()
+    for m in (4, 6, 8, 9, 12, 27, 30):
+        divisors = [k for k in range(1, m + 1) if m % k == 0]
+        for _ in range(40):
+            ncols = rng.randint(1, 3)
+            rows = [({c: rng.randrange(-m, m) for c in range(ncols)},
+                     rng.randrange(m), rng.choice(divisors))
+                    for _ in range(rng.randint(1, 3))]
+
+            def holds(x):
+                return all((sum(v * x.get(c, 0) for c, v in coeffs.items())
+                            - rhs) % mod == 0 for coeffs, rhs, mod in rows)
+
+            sol = solve_congruences(rows, m)
+            brute = any(holds(dict(enumerate(x)))
+                        for x in product(range(m), repeat=ncols))
+            assert (sol is not None) == brute, (m, rows)
+            if sol is not None:
+                assert holds(sol) and all(0 < v < m for v in sol.values())
+            seen.add(brute)
+    assert seen == {True, False}

@@ -4,9 +4,11 @@ import random
 import tracemalloc
 from itertools import product
 
+import conftest
 import pytest
 from conftest import D_SPECS, c_survives, eager_ladder, letters_to_g, \
-    load_d, log2_order, prime_powers_up_to, random_letters
+    load_d, log2_order, prime_powers_up_to, random_letters, \
+    unpruned_word_phase
 
 from conjlab import search
 from conjlab.conjugacy import conjugacy_decide
@@ -460,3 +462,78 @@ def test_growth_table_rows():
     assert required_c_modulus(12, 4, 127, D_TABLE) == 1
     assert required_c_modulus(16, 8, 1021, D_TABLE) == 1
     assert required_c_modulus(24, 8, 1021, D_TABLE) == 1
+
+
+def shift_window_pool(seed):
+    """Seeded pairs (g1, g2) with t-exponent s in {0, +-1, +-2, +-3}:
+    conjugates, central translates of conjugates, and abelianization
+    perturbations of them, by the letter a_0 or by a shift."""
+    rng = random.Random(seed)
+    pool = []
+    for s in (0, 1, -1, 2, -2, 3, -3):
+        for _ in range(3):
+            g1 = g_mul(letters_to_g(random_letters(
+                rng, max_len=4, idx_range=(-3, 3), exp_range=(-2, 2),
+                families="abc")), g_t(s))
+            word = " ".join(rng.choice("tabTAB")
+                            for _ in range(rng.randrange(1, 5)))
+            g2 = g_conj(g1, parse_word(word))
+            pool += [(g1, g2), (g1, g_mul(g2, parse_word("c[1]"))),
+                     (g1, g_mul(g2, parse_word("a[0]"))),
+                     (g1, g_conj(g2, parse_word("b[2]")))]
+    return pool
+
+
+def test_shift_window_matches_unpruned_walk(monkeypatch):
+    # the pruned walk and the walk without the shift window return the
+    # same (word, position) at every length 0..4; the pruned one builds
+    # fewer children
+    counts = {"pruned": 0, "unpruned": 0}
+    step = search.d_letter_conj
+
+    def counting(walk):
+        def counted(*args):
+            counts[walk] += 1
+            return step(*args)
+        return counted
+
+    monkeypatch.setattr(search, "d_letter_conj", counting("pruned"))
+    monkeypatch.setattr(conftest, "d_letter_conj", counting("unpruned"))
+    pool = shift_window_pool(2027)
+    # the edge cases: no final shift at all, g1 in the derived subgroup
+    # (every shift is final), and s = 3 with several residues
+    g = parse_word("a[0] b[1]^2 t")
+    pool += [(g, g_mul(g, parse_word("a[5]"))),
+             (parse_word("a[0] b[1] A[0] B[1]"), parse_word("c[1] a[1] A[1]")),
+             (parse_word("a[0] a[1] a[2] t^3"),
+              parse_word("a[1] a[2] a[3] t^3"))]
+    hits = 0
+    for g1, g2 in pool:
+        for length in range(5):
+            want = unpruned_word_phase(g1, g2, D_TABLE, length)
+            assert search._word_phase(g1, g2, D_TABLE, length) == want, \
+                (g1, g2, length)
+            hits += want[0] is not None
+    assert hits
+    assert counts["pruned"] < counts["unpruned"]
+
+
+def test_shift_window_edge_cases():
+    h = parse_word("a[0] b[1]^2").d_part
+    # s = 0: the final shift is unique, or there is none
+    assert search._shift_window(h, phi_shift(h, 2), 0, 3) == \
+        {sigma: abs(sigma - 2) for sigma in range(-3, 4)}
+    assert search._shift_window(h, phi_shift(h, 4), 0, 3) is None
+    assert search._shift_window(h, d_mul(h, generator_a(5)), 0, 3) is None
+    # g1 in the derived subgroup: every shift is final
+    z = parse_word("a[0] b[1] A[0] B[1]").d_part
+    assert set(search._shift_window(z, z, 0, 2).values()) == {0}
+    # s = 3: a_0 a_1 a_2 folds to the all-ones residue class, which every
+    # shift keeps; a_0 a_1 alone is final at shifts 1 mod 3
+    ones = parse_word("a[0] a[1] a[2]").d_part
+    assert set(search._shift_window(
+        ones, parse_word("a[4] a[5] a[9]").d_part, 3, 4).values()) == {0}
+    pair = parse_word("a[0] a[1]").d_part
+    window = search._shift_window(pair, parse_word("a[1] a[5]").d_part, -3, 4)
+    assert [f for f, dist in window.items() if dist == 0] == [-2, 1, 4]
+    assert window[0] == window[2] == 1
