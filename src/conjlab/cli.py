@@ -10,7 +10,8 @@ Subcommands:
   selftest            quick internal consistency battery
 
 Exit codes: 0 conjugate / morphism exists / success, 1 non-conjugate or
-no morphism, 2 error (bad input, not a group), 3 search budget exhausted.
+no morphism, 2 error (bad input, not a group, a failed internal check),
+3 search budget exhausted.
 
 Every report echoes the full run configuration: text output in a leading
 "config:" line, CSV in a "# config:" comment, JSON in a "config" object.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -27,7 +29,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .conjugacy import conjugacy_decide, hnf_solve, IntegerLinearSystem, \
-    solve_commutator_equation, solve_twisted_abelian, solve_twisted_derived
+    solve_commutator_equation, solve_congruences, solve_twisted_abelian, \
+    solve_twisted_derived
 from .extension import (
     GElement,
     WordParseError,
@@ -42,7 +45,7 @@ from .extension import (
 )
 from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_mul, generator_a, generator_b
-from .quotients import c_bounds, solve_congruences, spec_from_bounds
+from .quotients import c_bounds, spec_from_bounds
 from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
     mckinsey_search
 from .sepfunc import parse_d_spec
@@ -175,18 +178,24 @@ def _cmd_growth(args) -> int:
     t0 = time.perf_counter()
     rows = growth_table(d, range(args.i_max + 1), budget)
     elapsed = time.perf_counter() - t0
+    # the orders run to tens of thousands of digits; log2 carries the
+    # contrast with the decision time
+    log2s = [None if r.witness_order is None else math.log2(r.witness_order)
+             for r in rows]
     if args.format == "json":
         payload = {"config": cfg.items(),
-                   "rows": [asdict(r) for r in rows]}
+                   "rows": [{**asdict(r), "log2_witness_order": lg}
+                            for r, lg in zip(rows, log2s)]}
         if args.time:
             payload["elapsed_seconds"] = elapsed
         print(json.dumps(payload))
     else:
         _emit_config(cfg, "csv")
-        print("i,word_length,witness_order,decide_seconds")
-        for r in rows:
+        print("i,word_length,witness_order,decide_seconds,log2_witness_order")
+        for r, lg in zip(rows, log2s):
             wo = "" if r.witness_order is None else r.witness_order
-            print(f"{r.i},{r.word_length},{wo},{r.decide_seconds:.6f}")
+            lg = "" if lg is None else f"{lg:.1f}"
+            print(f"{r.i},{r.word_length},{wo},{r.decide_seconds:.6f},{lg}")
         if args.time:
             print(f"# elapsed: {elapsed:.6f}s")
     return 0
@@ -390,6 +399,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (WordParseError, ProgramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:  # a library self-check, not a verdict
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
     finally:
         if digits is not None:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conjlab import cli
 from conjlab.cli import DEFAULT_D, main
 from conjlab.extension import g_conj, g_equal, parse_word
 from conjlab.quotients import make_spec
@@ -197,14 +198,15 @@ def test_out_of_range_budget_is_an_error(capsys, argv, option):
 def parse_growth_csv(out):
     lines = out.splitlines()
     assert lines[0].startswith("# config: command=growth")
-    assert lines[1] == "i,word_length,witness_order,decide_seconds"
+    assert lines[1] == \
+        "i,word_length,witness_order,decide_seconds,log2_witness_order"
     rows = []
     for line in lines[2:]:
         if line.startswith("#"):
             continue
-        i, wl, order, secs = line.split(",")
+        i, wl, order, secs, log2 = line.split(",")
         rows.append((int(i), int(wl), int(order) if order else None,
-                     float(secs)))
+                     float(secs), log2))
     return rows
 
 
@@ -244,6 +246,38 @@ def test_growth_json_large_orders(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert rows[3]["witness_order"].bit_length() == 15959
+
+
+# the paper's contrast under the default d: log2 of the smallest
+# separating quotient of (a_0, a_0 c_{2^i}), i = 0..4
+GROWTH_LOG2 = ["11.0", "548.0", "2890.3", "15958.2", "46116.0"]
+
+
+def test_growth_log2_column(capsys):
+    code, out, _ = run(capsys, "growth", "4")
+    assert code == 0
+    code, jout, _ = run(capsys, "growth", "4", "--format", "json")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = parse_growth_csv(out)
+        jrows = json.loads(jout)["rows"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [r[4] for r in rows] == GROWTH_LOG2
+    assert [f"{r['log2_witness_order']:.1f}" for r in jrows] == GROWTH_LOG2
+
+
+def test_growth_log2_empty_without_witness(capsys):
+    # a spec budget of zero finds no witness
+    code, out, _ = run(capsys, "growth", "0", "--max-specs", "0")
+    assert code == 0
+    assert parse_growth_csv(out)[0][2:5:2] == (None, "")
+    code, out, _ = run(capsys, "growth", "0", "--max-specs", "0",
+                       "--format", "json")
+    row = json.loads(out)["rows"][0]
+    assert row["witness_order"] is None and row["log2_witness_order"] is None
 
 
 # --------------------------------------------------------- check-quotient
@@ -286,6 +320,40 @@ def test_check_quotient_not_a_group(tmp_path, capsys):
     code, _, err = run(capsys, "check-quotient", str(path))
     assert code == 2
     assert "not a group" in err
+
+
+# ------------------------------------------------------ internal checks
+
+def _fail_check(*args, **kwargs):
+    raise AssertionError("planted failure")
+
+
+@pytest.mark.parametrize("argv,target", [
+    (("conj", "a", "a"), "conjugacy_decide"),
+    (("mckinsey", "a", "a c[1]"), "mckinsey_search"),
+    (("growth", "0"), "growth_table"),
+    (("check-quotient", None), "hom_check"),
+])
+def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch,
+                                        argv, target):
+    # a library self-check raising AssertionError is an error (exit 2),
+    # never a "non-conjugate" or "no morphism" verdict (exit 1)
+    if argv[-1] is None:
+        z2 = from_permutations((0, 1), (0, 1), (1, 0))
+        argv = argv[:-1] + (table_file(tmp_path, z2, "z2.tbl"),)
+    monkeypatch.setattr(cli, target, _fail_check)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal check failed: planted failure\n"
+
+
+def test_selftest_internal_check_failure_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hnf_solve", _fail_check)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 2
+    assert "FAIL - hermite solver (planted failure)" in out.splitlines()
+    assert out.splitlines()[-1] == "1 failing"
 
 
 # --------------------------------------------------------------- selftest
