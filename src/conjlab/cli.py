@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .conjugacy import conjugacy_decide, hnf_solve, IntegerLinearSystem, \
-    solve_commutator_equation, solve_congruences, solve_twisted_abelian, \
-    solve_twisted_derived
+    solve_commutator_equation, solve_twisted_abelian, solve_twisted_derived
 from .extension import (
     GElement,
     WordParseError,
@@ -45,7 +44,7 @@ from .extension import (
 )
 from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_mul, generator_a, generator_b
-from .quotients import c_bounds, spec_from_bounds
+from .quotients import c_bounds, solve_congruences, spec_from_bounds
 from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
     mckinsey_search
 from .sepfunc import parse_d_spec

@@ -10,14 +10,13 @@ always a commutator; conjugacy then holds exactly when delta is trivial
 under the central exponents d, and the first surviving coordinate is a
 central obstruction naming a finite quotient that separates the pair.
 
-Integer linear algebra is exact throughout. The production solver is
-solve_congruences: it decides a system of linear congruences modulo each
-prime power of the modulus and joins the parts by the Chinese remainder
-theorem. The commutator equation reads its integrality parameter from
-it, and so does the exact conjugacy route inside finite quotients.
-hnf_solve, which puts an integer matrix into column Hermite form with
-unimodular column operations, is the oracle the tests and the selftest
-check against; no decision calls it.
+Integer linear algebra is exact throughout. The commutator equation
+fixes its integrality parameter by a one-variable congruence merge that
+uses gcds only, so its cost follows the digits of the exponents, not
+their size. The exact route inside finite quotients solves its systems
+with quotients.solve_congruences. hnf_solve, which puts an integer matrix
+into column Hermite form with unimodular column operations, is the
+oracle the tests and the selftest check against; no decision calls it.
 """
 
 from __future__ import annotations
@@ -136,120 +135,6 @@ def hnf_solve(system: IntegerLinearSystem) -> Optional[tuple]:
     return x
 
 
-def solve_congruences(rows, m):
-    """One solution of a system of linear congruences, or None.
-
-    Each row is (coefficients, rhs, modulus): a dict column -> integer
-    and the congruence sum(coefficients[c] * x[c]) = rhs mod modulus, with
-    modulus dividing m. The answer is a dict column -> x[c] in 1..m-1;
-    every other column is 0. The system is solved modulo each prime power
-    q of m (a row of modulus M is scaled by q / gcd(M, q)), and the parts
-    are joined by the Chinese remainder theorem."""
-    x: dict = {}
-    for q in _prime_power_factors(m):
-        part = _solve_prime_power(rows, q)
-        if part is None:
-            return None
-        r = m // q
-        lift = r * pow(r, -1, q) % m  # 1 mod q, 0 mod every other factor
-        for c, v in part.items():
-            v = (x.get(c, 0) + v * lift) % m
-            if v:
-                x[c] = v
-            else:
-                x.pop(c, None)
-    return x
-
-
-def _prime_power_factors(m):
-    """The largest power of each prime dividing m, the primes ascending."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            out.append(q)
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _solve_prime_power(rows, q):
-    """solve_congruences modulo a prime power q by elimination, each pivot
-    an entry of least p-adic valuation among the rows left, that is of
-    least gcd with q (Howell 1986; Storjohann and Mulders 1998). Every
-    other entry of the rows left is then divisible by the pivot's part
-    g = gcd(pivot, q), so the pivot clears its column by exact division,
-    and in back-substitution the pivot row is solvable exactly when its
-    right-hand side is divisible by g, whatever its later columns hold."""
-    system = []
-    for coeffs, rhs, mod in rows:
-        scale = q // gcd(mod, q)
-        row = {}
-        for c, v in coeffs.items():
-            v = v * scale % q
-            if v:
-                row[c] = v
-        b = rhs * scale % q
-        if row:
-            system.append((row, b))
-        elif b:
-            return None
-    pivots = []
-    while system:
-        best = None
-        for n, (row, _) in enumerate(system):
-            for c, v in row.items():
-                g = gcd(v, q)
-                if best is None or g < best[0]:
-                    best = g, n, c
-                    if g == 1:
-                        break
-            if best[0] == 1:
-                break
-        g, n, c = best
-        prow, pb = system[n]
-        system[n] = system[-1]
-        system.pop()
-        uinv = pow(prow[c] // g, -1, q)
-        rest = []
-        for row, b in system:
-            v = row.get(c)
-            if v:
-                f = v // g * uinv % q
-                for cc, pv in prow.items():
-                    w = (row.get(cc, 0) - f * pv) % q
-                    if w:
-                        row[cc] = w
-                    else:
-                        row.pop(cc, None)
-                b = (b - f * pb) % q
-                if not row:
-                    if b:
-                        return None
-                    continue
-            rest.append((row, b))
-        system = rest
-        pivots.append((c, g, uinv, prow, pb))
-    x: dict = {}
-    for c, g, uinv, prow, pb in reversed(pivots):
-        acc = pb
-        for cc, v in prow.items():
-            if cc != c:
-                acc -= v * x.get(cc, 0)
-        acc %= q
-        if acc % g:
-            return None
-        v = acc // g * uinv % q
-        if v:
-            x[c] = v
-    return x
-
-
 def _solve_chain(delta: dict, step: int) -> Optional[dict]:
     """The finitely supported h with h[p] - h[p - step] = delta[p], or
     None. Solutions are unique when they exist: the homogeneous equation
@@ -322,6 +207,27 @@ def commutator_bilinear(eta_a: dict, eta_b: dict, xi_a: dict, xi_b: dict) -> dic
     out = _mul_correction(eta_a, eta_b, xi_a, xi_b)
     return _acc(out, ((key, -v) for key, v in
                       _mul_correction(xi_a, xi_b, eta_a, eta_b).items()))
+
+
+def _merge_congruence(state, a, c, modulus):
+    """Intersect state = (residue, period) with a*x = c (mod modulus)."""
+    g = gcd(a, modulus)
+    if c % g:
+        return None
+    if modulus == g:
+        return state
+    m2 = modulus // g
+    a2, c2 = (a // g) % m2, (c // g) % m2
+    _, inv, _ = _ext_gcd(a2, m2)
+    r2 = (c2 * inv) % m2
+    r1, m1 = state
+    gg = gcd(m1, m2)
+    if (r2 - r1) % gg:
+        return None
+    _, p, _ = _ext_gcd(m1 // gg, m2 // gg)
+    lcm = m1 // gg * m2
+    r = (r1 + m1 * ((r2 - r1) // gg) * p) % lcm
+    return r, lcm
 
 
 def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DElement]:
@@ -410,22 +316,21 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
                 != t_of("AB", i, i) * p2:
             return None
 
-    # integrality: each numerator must vanish mod p^2, one congruence
-    # (xi[j] p) lam = -N[j] per row; lam is fixed modulo the period
-    rows = [({0: xi * p}, -N, p2) for j in J
-            for N, xi in ((Na[j], xi_a.get(j, 0)), (Nb[j], xi_b.get(j, 0)))]
-    sol = solve_congruences(rows, p2)
-    if sol is None:
-        return None
-    period = p2 // gcd(p2, *(coeffs[0] for coeffs, _, _ in rows))
-    r = sol.get(0, 0) % period
+    # integrality: each numerator must vanish mod p^2
+    state = (0, 1)
+    for j in J:
+        for N, xi in ((Na[j], xi_a.get(j, 0)), (Nb[j], xi_b.get(j, 0))):
+            state = _merge_congruence(state, (xi * p) % p2, (-N) % p2, p2)
+            if state is None:
+                return None
+    r, period = state
     lam = r if abs(r) <= abs(r - period) or period == 1 else r - period
     eta_a = {}
     eta_b = {}
     for j in J:
         va, vb = val_a(j, lam), val_b(j, lam)
         if va % p2 or vb % p2:
-            raise AssertionError("congruence solution lost integrality")
+            raise AssertionError("congruence merge lost integrality")
         if va:
             eta_a[j] = va // p2
         if vb:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 
-from .conjugacy import commutator_bilinear, solve_congruences
+from .conjugacy import commutator_bilinear
 from .extension import GElement
 from .nilpotent import _collect, _mul_correction, aa_terms, ab_terms, \
     bb_terms
@@ -467,6 +467,120 @@ def _key_cycle(fq, key, s):
         key = nxt
         if key == start:
             return
+
+
+def solve_congruences(rows, m):
+    """One solution of a system of linear congruences, or None.
+
+    Each row is (coefficients, rhs, modulus): a dict column -> integer
+    and the congruence sum(coefficients[c] * x[c]) = rhs mod modulus, with
+    modulus dividing m. The answer is a dict column -> x[c] in 1..m-1;
+    every other column is 0. The system is solved modulo each prime power
+    q of m (a row of modulus M is scaled by q / gcd(M, q)), and the parts
+    are joined by the Chinese remainder theorem."""
+    x: dict = {}
+    for q in _prime_power_factors(m):
+        part = _solve_prime_power(rows, q)
+        if part is None:
+            return None
+        r = m // q
+        lift = r * pow(r, -1, q) % m  # 1 mod q, 0 mod every other factor
+        for c, v in part.items():
+            v = (x.get(c, 0) + v * lift) % m
+            if v:
+                x[c] = v
+            else:
+                x.pop(c, None)
+    return x
+
+
+def _prime_power_factors(m):
+    """The largest power of each prime dividing m, the primes ascending."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            out.append(q)
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _solve_prime_power(rows, q):
+    """solve_congruences modulo a prime power q by elimination, each pivot
+    an entry of least p-adic valuation among the rows left, that is of
+    least gcd with q (Howell 1986; Storjohann and Mulders 1998). Every
+    other entry of the rows left is then divisible by the pivot's part
+    g = gcd(pivot, q), so the pivot clears its column by exact division,
+    and in back-substitution the pivot row is solvable exactly when its
+    right-hand side is divisible by g, whatever its later columns hold."""
+    system = []
+    for coeffs, rhs, mod in rows:
+        scale = q // math.gcd(mod, q)
+        row = {}
+        for c, v in coeffs.items():
+            v = v * scale % q
+            if v:
+                row[c] = v
+        b = rhs * scale % q
+        if row:
+            system.append((row, b))
+        elif b:
+            return None
+    pivots = []
+    while system:
+        best = None
+        for n, (row, _) in enumerate(system):
+            for c, v in row.items():
+                g = math.gcd(v, q)
+                if best is None or g < best[0]:
+                    best = g, n, c
+                    if g == 1:
+                        break
+            if best[0] == 1:
+                break
+        g, n, c = best
+        prow, pb = system[n]
+        system[n] = system[-1]
+        system.pop()
+        uinv = pow(prow[c] // g, -1, q)
+        rest = []
+        for row, b in system:
+            v = row.get(c)
+            if v:
+                f = v // g * uinv % q
+                for cc, pv in prow.items():
+                    w = (row.get(cc, 0) - f * pv) % q
+                    if w:
+                        row[cc] = w
+                    else:
+                        row.pop(cc, None)
+                b = (b - f * pb) % q
+                if not row:
+                    if b:
+                        return None
+                    continue
+            rest.append((row, b))
+        system = rest
+        pivots.append((c, g, uinv, prow, pb))
+    x: dict = {}
+    for c, g, uinv, prow, pb in reversed(pivots):
+        acc = pb
+        for cc, v in prow.items():
+            if cc != c:
+                acc -= v * x.get(cc, 0)
+        acc %= q
+        if acc % g:
+            return None
+        v = acc // g * uinv % q
+        if v:
+            x[c] = v
+    return x
 
 
 def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:

@@ -2,6 +2,8 @@
 commutator equation, and the full decision with certificates."""
 
 import random
+import signal
+import time
 
 import pytest
 
@@ -388,6 +390,31 @@ def test_decide_non_power_of_two_never_dies(d_table):
     cert = conjugacy_decide(parse_word("a[0]"), parse_word("a[0] c[3]^1000"), d_table)
     assert cert.verdict == "non-conjugate"
     assert cert.obstruction == (3, -1000)
+
+
+def test_huge_exponent_decides_fast(d_table):
+    # the commutator equation's integrality modulus is p^2 for the word's
+    # own exponent p, a prime here: fixing lam must cost gcds in the
+    # exponent's digits, never a factorisation of p. A slow decision is
+    # cut by an alarm so that it fails instead of stalling the suite.
+    def stalled(signum, frame):
+        raise TimeoutError("decision stalled on a large exponent")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    try:
+        for e in (1000003, 1000000007):
+            x = parse_word(f"a[0]^{e} b[1]")
+            y = parse_word(f"A[2] a[0]^{e} b[1] a[2]")
+            t0 = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            cert = conjugacy_decide(x, y, d_table)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            assert time.perf_counter() - t0 < 0.5
+            assert cert.is_conjugate
+            assert g_equal(g_conj(x, cert.witness), y, d_table)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_decide_reason_paths(d_table):
