@@ -43,7 +43,8 @@ from .extension import (
     word_length,
 )
 from .machine import ProgramError
-from .nilpotent import central_c, d_element, d_mul, generator_a, generator_b
+from .nilpotent import central_c, d_element, d_inv, d_mul, d_twisted_conj, \
+    generator_a, generator_b, phi_shift
 from .quotients import c_bounds, solve_congruences, spec_from_bounds
 from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
     mckinsey_search
@@ -215,7 +216,9 @@ def _cmd_check_quotient(args) -> int:
 
 
 def _selftest_checks(rng: random.Random):
-    from .nilpotent import d_inv as _d_inv
+    def random_element():
+        return parse_word(" ".join(rng.choice("tabTAB")
+                                   for _ in range(rng.randrange(0, 9))))
 
     def collection_example():
         got = d_mul(generator_b(0), generator_a(0))
@@ -267,11 +270,8 @@ def _selftest_checks(rng: random.Random):
 
     def spell_roundtrip():
         d = parse_d_spec(DEFAULT_D)
-        letters = "tabTAB"
         for _ in range(25):
-            word = " ".join(rng.choice(letters)
-                            for _ in range(rng.randrange(0, 9)))
-            g = parse_word(word)
+            g = random_element()
             if not g_equal(parse_word(spell_element(g)), g, d):
                 return False
         return True
@@ -288,14 +288,17 @@ def _selftest_checks(rng: random.Random):
 
     def inverse_cancels():
         for _ in range(25):
-            word = " ".join(rng.choice("tabTAB")
-                            for _ in range(rng.randrange(0, 9)))
-            g = parse_word(word)
-            gi = g_inv(g)
-            prod = g_conj(g, g)
-            if g_inv(gi) != g:
+            g = random_element()
+            if g_inv(g_inv(g)) != g or g_conj(g, g) != g:
                 return False
-            if prod.t_exp != g.t_exp:
+        return True
+
+    def twisted_conjugation():
+        for _ in range(25):
+            h, x = random_element().d_part, random_element().d_part
+            n = rng.randrange(-3, 4)
+            if d_twisted_conj(h, x, n) != \
+                    d_mul(d_mul(d_inv(h), x), phi_shift(h, n)):
                 return False
         return True
 
@@ -313,6 +316,7 @@ def _selftest_checks(rng: random.Random):
         ("quotient order", quotient_order),
         ("table goldens", table_goldens),
         ("inverse involution", inverse_cancels),
+        ("twisted conjugation", twisted_conjugation),
     ]
 
 

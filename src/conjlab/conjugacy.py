@@ -25,17 +25,16 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .extension import GElement, g_conj, g_identity, g_inv, g_mul, g_t
+from .extension import GElement, g_conj, g_identity, g_mul, g_t
 from .nilpotent import (
     DElement,
     _acc,
     _clean,
+    _derived_diff,
     _mul_correction,
     _surviving_c,
     d_identity,
-    d_inv,
-    d_mul,
-    is_in_C,
+    d_twisted_conj,
     is_in_derived,
     phi_shift,
 )
@@ -279,47 +278,50 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
             i, j = j, i
         return T.get((kind, i, j), 0)
 
-    Na = {k: 0}
-    Nb = {k: -t_of("AB", k, k) * p}
+    # Na, Nb, Xa, Xb are lists over J, Na[q] the numerator at J[q]
+    Na, Nb = [], []
     for j in J:
         if j == k:
-            continue
-        if j > k:
-            Na[j] = -t_of("AA", k, j) * p
-            Nb[j] = (-t_of("AA", k, j) * xi_b.get(k, 0)
-                     + t_of("AB", k, k) * xi_a.get(j, 0)
-                     - t_of("AB", k, j) * p)
+            Na.append(0)
+            Nb.append(-t_of("AB", k, k) * p)
+        elif j > k:
+            Na.append(-t_of("AA", k, j) * p)
+            Nb.append(-t_of("AA", k, j) * xi_b.get(k, 0)
+                      + t_of("AB", k, k) * xi_a.get(j, 0)
+                      - t_of("AB", k, j) * p)
         else:
-            Na[j] = t_of("AA", j, k) * p
-            Nb[j] = t_of("AA", j, k) * xi_b.get(k, 0) - t_of("AB", j, k) * p
+            Na.append(t_of("AA", j, k) * p)
+            Nb.append(t_of("AA", j, k) * xi_b.get(k, 0)
+                      - t_of("AB", j, k) * p)
+    Xa = [xi_a.get(j, 0) for j in J]
+    Xb = [xi_b.get(j, 0) for j in J]
 
-    def val_a(j, lam):
-        return Na[j] + lam * p * xi_a.get(j, 0)
+    def val_a(q, lam):
+        return Na[q] + lam * p * Xa[q]
 
-    def val_b(j, lam):
-        return Nb[j] + lam * p * xi_b.get(j, 0)
+    def val_b(q, lam):
+        return Nb[q] + lam * p * Xb[q]
 
-    # consistency of every row over J x J, checked lam-free at lam = 0
-    for ai, i in enumerate(J):
-        for j in J[ai + 1:]:
-            if val_a(i, 0) * xi_a.get(j, 0) - val_a(j, 0) * xi_a.get(i, 0) \
-                    != t_of("AA", i, j) * p2:
+    # consistency of every row over J x J, checked lam-free at lam = 0;
+    # J ascends, so each pair's keys are read straight from T
+    Tget = T.get
+    rows = list(zip(J, Na, Nb, Xa, Xb))
+    for q, (i, na, nb, xa, xb) in enumerate(rows):
+        for j, na2, nb2, xa2, xb2 in rows[q + 1:]:
+            if na * xa2 - na2 * xa != Tget(("AA", i, j), 0) * p2:
                 return None
-            if val_b(i, 0) * xi_b.get(j, 0) - val_b(j, 0) * xi_b.get(i, 0) \
-                    != t_of("BB", i, j) * p2:
+            if nb * xb2 - nb2 * xb != Tget(("BB", i, j), 0) * p2:
                 return None
-            if (val_a(i, 0) * xi_b.get(j, 0) + val_a(j, 0) * xi_b.get(i, 0)
-                    - val_b(i, 0) * xi_a.get(j, 0) - val_b(j, 0) * xi_a.get(i, 0)) \
-                    != t_of("AB", i, j) * p2:
+            if na * xb2 + na2 * xb - nb * xa2 - nb2 * xa \
+                    != Tget(("AB", i, j), 0) * p2:
                 return None
-        if val_a(i, 0) * xi_b.get(i, 0) - val_b(i, 0) * xi_a.get(i, 0) \
-                != t_of("AB", i, i) * p2:
+        if na * xb - nb * xa != Tget(("AB", i, i), 0) * p2:
             return None
 
     # integrality: each numerator must vanish mod p^2
     state = (0, 1)
-    for j in J:
-        for N, xi in ((Na[j], xi_a.get(j, 0)), (Nb[j], xi_b.get(j, 0))):
+    for q in range(len(J)):
+        for N, xi in ((Na[q], Xa[q]), (Nb[q], Xb[q])):
             state = _merge_congruence(state, (xi * p) % p2, (-N) % p2, p2)
             if state is None:
                 return None
@@ -327,8 +329,8 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
     lam = r if abs(r) <= abs(r - period) or period == 1 else r - period
     eta_a = {}
     eta_b = {}
-    for j in J:
-        va, vb = val_a(j, lam), val_b(j, lam)
+    for q, j in enumerate(J):
+        va, vb = val_a(q, lam), val_b(q, lam)
         if va % p2 or vb % p2:
             raise AssertionError("congruence merge lost integrality")
         if va:
@@ -371,11 +373,11 @@ def _conj_untwisted(h1: DElement, h2: DElement):
     i1 = min(set(h1.a_part) | set(h1.b_part))
     i2 = min(set(h2.a_part) | set(h2.b_part))
     x = phi_shift(h1, i2 - i1)
-    if x.a_part != h2.a_part or x.b_part != h2.b_part:
+    rem = _derived_diff(x, h2)
+    if rem is None:
         return None, REASON_AB
-    rem = d_mul(d_inv(x), h2)
-    target = {k: -v for k, v in _nonc(rem).items()}
-    h = solve_commutator_equation(x, DElement({}, {}, _clean(target)))
+    target = {k: -v for k, v in rem.items() if k[0] != "C"}
+    h = solve_commutator_equation(x, DElement({}, {}, target))
     if h is None:
         return None, REASON_TWISTED
     return g_mul(g_t(i1 - i2), GElement(h)), None
@@ -392,15 +394,15 @@ def _conj_twisted(h1: DElement, h2: DElement, n_t: int):
         if ab is None:
             continue
         h0 = DElement(_clean(ab[0]), _clean(ab[1]))
-        r = d_mul(d_mul(d_inv(h0), x), phi_shift(h0, n_t))
-        if r.a_part != h2.a_part or r.b_part != h2.b_part:
+        diff = _derived_diff(h2, d_twisted_conj(h0, x, n_t))
+        if diff is None:
             raise AssertionError("abelianized twisted stage went astray")
-        rn, hn = _nonc(r), _nonc(h2)
-        delta = {key: rn.get(key, 0) - hn.get(key, 0) for key in set(rn) | set(hn)}
-        dd = solve_twisted_derived(delta, n_t)
+        dd = solve_twisted_derived(
+            {key: v for key, v in diff.items() if key[0] != "C"}, n_t)
         if dd is None:
             continue
-        h = d_mul(h0, DElement({}, {}, _clean(dd)))
+        # h0 has no derived part, so h0 * dd is h0 with dd's coordinates
+        h = DElement(h0.a_part, h0.b_part, dd)
         return g_mul(g_t(i), GElement(h)), None
     return None, REASON_TWISTED
 
@@ -452,14 +454,20 @@ def conjugacy_decide(g1: GElement, g2: GElement, d) -> ConjugacyCertificate:
     the reason is one of t-exponent-mismatch, abelianization-mismatch,
     twisted-unsolvable, or central-obstruction(k, gamma), the last naming
     a central coordinate whose exponent survives every legal reduction.
+
+    The central discrepancy is compared, not multiplied out: x = w^-1 g1 w
+    must match g2 in t-exponent, a- and b-parts, and then g2^-1 x is the
+    difference of the derived parts, which must lie in C.
     """
     witness, reason = conj_mod_C(g1, g2)
     if witness is None:
         return ConjugacyCertificate("non-conjugate", reason=reason)
-    delta = g_mul(g_conj(g1, witness), g_inv(g2))
-    if delta.t_exp != 0 or not is_in_C(delta.d_part):
+    x = g_conj(g1, witness)
+    delta = (_derived_diff(g2.d_part, x.d_part)
+             if x.t_exp == g2.t_exp else None)
+    if delta is None or any(key[0] != "C" for key in delta):
         raise AssertionError("mod-centre witness left a non-central residue")
-    survivor = _surviving_c(delta.d_part, d)
+    survivor = _surviving_c(DElement({}, {}, delta), d)
     if survivor is None:
         return ConjugacyCertificate("conjugate", witness=witness)
     return ConjugacyCertificate("non-conjugate", reason=REASON_CENTRAL,

@@ -27,10 +27,11 @@ from .nilpotent import (
     _clean,
     _collect,
     c_terms,
+    d_equal,
     d_identity,
     d_inv,
     d_mul,
-    is_identity_d,
+    d_twisted_conj,
     phi_shift,
 )
 
@@ -59,16 +60,17 @@ def g_inv(x: GElement) -> GElement:
 
 
 def g_conj(x: GElement, by: GElement) -> GElement:
-    """by^{-1} x by."""
-    return g_mul(g_mul(g_inv(by), x), by)
-
-
-def is_identity_g(x: GElement, d) -> bool:
-    return x.t_exp == 0 and is_identity_d(x.d_part, d)
+    """by^{-1} x by, with no product: for x = (h, n) and by = (k, m) it
+    is (shift^{-m}(k^-1 h shift^n(k)), n), the inner part built in one
+    pass by nilpotent.d_twisted_conj."""
+    return GElement(phi_shift(d_twisted_conj(by.d_part, x.d_part, x.t_exp),
+                              -by.t_exp), x.t_exp)
 
 
 def g_equal(x: GElement, y: GElement, d) -> bool:
-    return is_identity_g(g_mul(g_inv(x), y), d)
+    """Equality in G under the relators: equal t-exponents, and D-parts
+    equal in D (nilpotent.d_equal)."""
+    return x.t_exp == y.t_exp and d_equal(x.d_part, y.d_part, d)
 
 
 class WordParseError(ValueError):

@@ -22,19 +22,21 @@ c_0 is trivial and c_{-k} is the inverse of c_k, so those keys never occur.
 Collection has one path, the kernel _collect: it adds the correction of a
 product straight into a dict its caller owns. d_mul and d_inv pass the
 product's own derived dict, extension.parse_word the dict it builds a
-word into, one letter at a time, and d_letter_conj (conjugation by one
+word into, one letter at a time, d_letter_conj (conjugation by one
 generator letter, for the word walk of the search module) a copy of its
-argument's; _mul_correction wraps it for the folded quotients and
+argument's, and d_twisted_conj (h^-1 x shift^n(h), for extension.g_conj
+and the twisted stage of the conjugacy decision) a copy of x's;
+_mul_correction wraps it for the folded quotients and
 commutator_bilinear.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction: every operation returns a fresh element, or an operand
-itself when the result equals it (d_mul by the identity). Because d(j)
-may be astronomically large, a C coordinate is only compared with d(j) when
-d(j) is known to be small enough to reach it (is_identity_d). Plain == on
-elements is raw coordinate identity, not group equality: test equality in
-G with extension.g_equal, in D with d_equal, or triviality of x^{-1} y
-with is_identity_d.
+itself when the result equals it (d_mul or d_twisted_conj by the identity).
+Because d(j) may be astronomically large, a C coordinate is only compared
+with d(j) when d(j) is known to be small enough to reach it (is_identity_d).
+Plain == on elements is raw coordinate identity, not group equality: test
+equality in G with extension.g_equal, in D with d_equal, or triviality of
+x^{-1} y with is_identity_d.
 """
 
 from __future__ import annotations
@@ -239,6 +241,37 @@ def d_letter_conj(x: DElement, family: str, e: int, s: int) -> DElement:
     return DElement(a, b, _clean(der))
 
 
+def d_twisted_conj(h: DElement, x: DElement, n: int) -> DElement:
+    """h^-1 x shift^n(h) in one pass: conjugation in G of (x, n) by (h, 0).
+
+    x's dicts are copied once. Into the copied derived dict go
+    -h.derived and shift^n(h.derived), whose central coordinates cancel,
+    and three kernel corrections: corr(h, h), which with -h.derived
+    makes h^-1 as in d_inv; corr(h^-1, x); and corr(h^-1 x, shift^n h).
+    x itself comes back when h is the identity."""
+    if not (h.a_part or h.b_part or h.derived):
+        return x
+    ha, hb = h.a_part, h.b_part
+    a, b, der = dict(x.a_part), dict(x.b_part), dict(x.derived)
+    get = der.get
+    for key, v in h.derived.items():
+        if key[0] != "C":
+            der[key] = get(key, 0) - v
+            skey = (key[0], key[1] + n, key[2] + n)
+            der[skey] = get(skey, 0) + v
+    _collect(der, ha, hb, ha, hb)
+    na, nb = _neg_vec(ha), _neg_vec(hb)
+    _collect(der, na, nb, x.a_part, x.b_part)
+    _acc(a, na.items())
+    _acc(b, nb.items())
+    sa = {i + n: e for i, e in ha.items()}
+    sb = {i + n: e for i, e in hb.items()}
+    _collect(der, a, b, sa, sb)
+    _acc(a, sa.items())
+    _acc(b, sb.items())
+    return DElement(a, b, _clean(der))
+
+
 def d_inv(x: DElement) -> DElement:
     # x x^-1 = 1 leaves -x.derived - corr(x, x^-1), and the correction is
     # bilinear in the abelian parts, so -corr(x, x^-1) = corr(x, x)
@@ -303,11 +336,26 @@ def is_identity_d(x: DElement, d) -> bool:
     return is_in_C(x) and _surviving_c(x, d) is None
 
 
-def d_equal(x: DElement, y: DElement, d) -> bool:
-    """Equality in D under the relators, without a product: when the a-
-    and b-parts, which the relators never touch, agree, x^-1 y is the
-    central difference of the derived parts."""
+def _derived_diff(x: DElement, y: DElement) -> Optional[dict]:
+    """The derived dict of x^-1 y when the a- and b-parts of x and y
+    agree, else None. Derived coordinates are central in D, so x^-1 y
+    is then y.derived - x.derived, without a product."""
     if x.a_part != y.a_part or x.b_part != y.b_part:
-        return False
-    diff = _acc(dict(y.derived), ((key, -v) for key, v in x.derived.items()))
-    return is_identity_d(DElement({}, {}, diff), d)
+        return None
+    xd, yd = x.derived, y.derived
+    if xd == yd:
+        return {}
+    diff = {key: v - xd.get(key, 0) for key, v in yd.items()
+            if v != xd.get(key, 0)}
+    for key, v in xd.items():
+        if v and key not in yd:
+            diff[key] = -v
+    return diff
+
+
+def d_equal(x: DElement, y: DElement, d) -> bool:
+    """Equality in D under the relators, which never touch the a- and
+    b-parts: x^-1 y is the difference of the derived parts
+    (_derived_diff), and must be trivial."""
+    diff = _derived_diff(x, y)
+    return diff is not None and is_identity_d(DElement({}, {}, diff), d)

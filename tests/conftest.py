@@ -27,11 +27,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from conjlab.conjugacy import IntegerLinearSystem, commutator_bilinear, \
-    hnf_solve
-from conjlab.extension import GElement, g_conj, g_mul, parse_word
-from conjlab.nilpotent import DElement, d_element, d_equal, d_inv, \
-    d_letter_conj, d_mul, phi_shift
+from conjlab.conjugacy import REASON_CENTRAL, ConjugacyCertificate, \
+    IntegerLinearSystem, commutator_bilinear, conj_mod_C, hnf_solve
+from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
+from conjlab.nilpotent import DElement, _surviving_c, d_element, d_equal, \
+    d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
 from conjlab.quotients import _minus, _orbit_chain_solve, c_bounds, c_fold, \
     quotient_order, spec_from_bounds
 from conjlab.search import I_LADDER, _CANCELS, _LETTERS, _STEPS
@@ -181,6 +181,20 @@ def letters_to_word(letters) -> str:
     return " ".join(tokens)
 
 
+def banded_letters(rng, n, band=6):
+    """n letters over t a b T A B whose running t-exponent stays within
+    +-band, as in the conjbench decide pairs: the a- and b-letters then
+    land on the 2 band + 1 indices -band..band."""
+    letters, pos = [], 0
+    for _ in range(n):
+        c = rng.choice("tabTAB")
+        if (c == "t" and pos >= band) or (c == "T" and pos <= -band):
+            c = rng.choice("abAB")
+        pos += (c == "t") - (c == "T")
+        letters.append((c.lower(), 0, 1 if c.islower() else -1))
+    return letters
+
+
 def random_letters(rng: random.Random, max_len=8, idx_range=(-4, 4),
                    exp_range=(-3, 3), families="abct"):
     letters = []
@@ -266,6 +280,25 @@ def letters_to_g(letters) -> GElement:
 
 def d_comm(x: DElement, y: DElement) -> DElement:
     return d_mul(d_mul(d_mul(x, y), d_inv(x)), d_inv(y))
+
+
+def decide_by_products(g1: GElement, g2: GElement, d) -> ConjugacyCertificate:
+    """conjugacy_decide with its final step built from full products, the
+    reference for the comparison the decision makes instead: the central
+    residue is (w^-1 g1 w) g2^-1, with w^-1 g1 w as two g_mul and a
+    g_inv, read off the product's normal form."""
+    witness, reason = conj_mod_C(g1, g2)
+    if witness is None:
+        return ConjugacyCertificate("non-conjugate", reason=reason)
+    conj = g_mul(g_mul(g_inv(witness), g1), witness)
+    delta = g_mul(conj, g_inv(g2))
+    if delta.t_exp != 0 or not is_in_C(delta.d_part):
+        raise AssertionError("mod-centre witness left a non-central residue")
+    survivor = _surviving_c(delta.d_part, d)
+    if survivor is None:
+        return ConjugacyCertificate("conjugate", witness=witness)
+    return ConjugacyCertificate("non-conjugate", reason=REASON_CENTRAL,
+                                obstruction=survivor)
 
 
 # ------------------------------------------------------------ group tables

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import conjlab.conjugacy as conjugacy
 from conjlab.conjugacy import (
     REASON_AB,
     REASON_CENTRAL,
@@ -22,7 +23,8 @@ from conjlab.conjugacy import (
     solve_twisted_abelian,
     solve_twisted_derived,
 )
-from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, g_t, parse_word
+from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, g_t, \
+    parse_word, spell_element
 from conjlab.nilpotent import (
     DElement,
     central_c,
@@ -35,7 +37,8 @@ from conjlab.nilpotent import (
 )
 from conjlab.sepfunc import constant_prime
 
-from conftest import box_solutions, d_comm, letters_to_g, random_letters
+from conftest import D_SPECS, banded_letters, box_solutions, d_comm, \
+    decide_by_products, letters_to_g, letters_to_word, load_d, random_letters
 
 AA, AB, BB, C = ("AA",), ("AB",), ("BB",), ("C",)
 
@@ -425,6 +428,63 @@ def test_decide_reason_paths(d_table):
                             d_table).reason == REASON_TWISTED
     ident = conjugacy_decide(parse_word("t"), parse_word("t"), d_table)
     assert ident.is_conjugate and ident.reason is None
+
+
+def banded_element(rng, n, t_exp):
+    g = parse_word(letters_to_word(banded_letters(rng, n)))
+    return g_mul(g, g_t(t_exp - g.t_exp))
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS[:3])
+def test_decide_matches_product_reference(d_spec):
+    # decide compares g_conj(g1, w) with g2 where the reference multiplies
+    # out the residue; verdict, reason, obstruction and witness agree on
+    # conjugates, central translates (relators or not) and abelian and
+    # derived perturbations, t-balanced and twisted, at 16-256 letters
+    d = load_d(d_spec)
+    rng = random.Random(f"products {d_spec}")
+    steps = {"conjugate": lambda: "",
+             "translate-trivial": lambda: (
+                 f"c[{2 ** (j := rng.randrange(3))}]^"
+                 f"{d.value(j) * rng.choice((1, -1, 2))}"),
+             "translate": lambda: (f"c[{rng.choice((1, 2, 3, 4, 6))}]^"
+                                   f"{rng.choice((1, -1, 2, 5))}"),
+             "abelian": lambda: rng.choice(("a", "B", "a[2]", "b[-3]")),
+             "derived": lambda: "a[0] b[1] A[0] B[1]"}
+    seen = set()
+    for n in (16, 64, 256):
+        for t_exp in (0, 0, 1, -2, 3):
+            for kind, step in steps.items():
+                g1 = banded_element(rng, n, t_exp)
+                w = banded_element(rng, n // 4, rng.choice((-1, 0, 1)))
+                g2 = g_conj(g_mul(g1, parse_word(step())), w)
+                got = conjugacy_decide(g1, g2, d)
+                want = decide_by_products(g1, g2, d)
+                assert (got.verdict, got.reason, got.obstruction) == \
+                    (want.verdict, want.reason, want.obstruction), (n, kind)
+                assert (got.witness is None) == (want.witness is None)
+                if got.witness is not None:
+                    assert spell_element(got.witness) == \
+                        spell_element(want.witness)
+                seen.add(got.reason)
+    assert {None, REASON_CENTRAL, REASON_AB, REASON_TWISTED} <= seen, seen
+
+
+def test_wrong_witness_leaves_non_central_residue(d_table, monkeypatch):
+    # a mod-centre witness that is wrong must trip the self-check, never
+    # become a verdict: abelian and non-central derived residues, and a
+    # t-exponent mismatch
+    cases = [(parse_word("a"), parse_word("a"), g_t(1)),
+             (parse_word("a b"), parse_word("a b a[1] b[2] A[1] B[2]"),
+              GElement()),
+             (parse_word("t a"), parse_word("t a a[1] a[3] A[1] A[3]"),
+              GElement()),
+             (parse_word("t"), parse_word("t^2"), GElement())]
+    for g1, g2, w in cases:
+        monkeypatch.setattr(conjugacy, "conj_mod_C",
+                            lambda *args, w=w: (w, None))
+        with pytest.raises(AssertionError, match="non-central residue"):
+            conjugacy_decide(g1, g2, d_table)
 
 
 def test_certificate_shape():

@@ -16,12 +16,12 @@ from conjlab.extension import (
     g_inv,
     g_mul,
     g_t,
-    is_identity_g,
     parse_word,
     spell_element,
     word_length,
 )
-from conjlab.nilpotent import central_c, d_element, generator_a
+from conjlab.nilpotent import central_c, d_element, generator_a, \
+    is_identity_d
 
 from conftest import (
     letters_st,
@@ -30,6 +30,7 @@ from conftest import (
     og_from_letters,
     og_inv,
     og_mul,
+    random_letters,
     rho_g,
 )
 
@@ -216,7 +217,28 @@ def test_spell_details():
 
 
 def test_g_equal_mod_relators(d_table):
-    assert is_identity_g(GElement(d_element(derived={("C", 1): 2})), d_table)
-    assert not is_identity_g(g_t(), d_table)
+    assert g_equal(GElement(d_element(derived={("C", 1): 2})), g_identity(),
+                   d_table)
+    assert not g_equal(g_t(), g_identity(), d_table)
     assert g_equal(parse_word("a c[1]"), parse_word("c[1]^-1 a"), d_table)
     assert not g_equal(parse_word("a"), parse_word("a c[1]"), d_table)
+
+
+def test_g_equal_matches_product_form(d_table):
+    # g_equal compares t-exponents and D-parts; the product form tests
+    # x^-1 y for triviality. Under d_table, c[1]^2, c[2]^31 and
+    # c[4]^-127 are relators.
+    rng = random.Random(14)
+    steps = ["", "c[1]^2", "c[2]^31", "c[4]^-127", "c[1]", "c[3]^2",
+             "a[1]", "t", "a[0] b[1] A[0] B[1]"]
+    equal = 0
+    for _ in range(200):
+        x = letters_to_g(random_letters(rng, max_len=6))
+        y = g_mul(x, parse_word(rng.choice(steps)))
+        if rng.random() < 0.5:
+            x, y = y, x
+        prod = g_mul(g_inv(x), y)
+        want = prod.t_exp == 0 and is_identity_d(prod.d_part, d_table)
+        assert g_equal(x, y, d_table) == want, (x, y)
+        equal += want
+    assert 30 < equal < 170, equal

@@ -11,6 +11,7 @@ from conjlab.conjugacy import commutator_bilinear
 from conjlab.extension import GElement, g_equal, g_mul, parse_word
 from conjlab.nilpotent import (
     DElement,
+    _derived_diff,
     _mul_correction,
     _surviving_c,
     aa_terms,
@@ -22,6 +23,7 @@ from conjlab.nilpotent import (
     d_identity,
     d_inv,
     d_mul,
+    d_twisted_conj,
     generator_a,
     generator_b,
     is_identity_d,
@@ -34,6 +36,7 @@ from conjlab.quotients import make_spec
 
 from conftest import (
     D_SPECS,
+    banded_letters,
     d_comm,
     d_letters_st,
     free_inv,
@@ -167,20 +170,6 @@ def test_shift_respects_mul(u, v, n):
 
 # ---------------------------------------------------------- decide scale
 
-def banded_letters(rng, n, band=6):
-    """n letters over t a b T A B whose running t-exponent stays within
-    +-band, as in the conjbench decide pairs: the a- and b-letters then
-    land on the 2 band + 1 indices -band..band."""
-    letters, pos = [], 0
-    for _ in range(n):
-        c = rng.choice("tabTAB")
-        if (c == "t" and pos >= band) or (c == "T" and pos <= -band):
-            c = rng.choice("abAB")
-        pos += (c == "t") - (c == "T")
-        letters.append((c.lower(), 0, 1 if c.islower() else -1))
-    return letters
-
-
 def test_oracle_at_decide_scale():
     # the hypothesis strategies stay within 8 letters and indices +-4;
     # decide multiplies elements with about 13 generators per family and
@@ -221,7 +210,8 @@ def test_operands_are_never_written(d_table):
         fx, fy = fq.image(gx), fq.image(gy)
         calls = [
             (d_mul, (x, y)), (d_mul, (x, e.d_part)), (d_mul, (e.d_part, y)),
-            (d_inv, (x,)), (g_mul, (gx, gy)), (g_mul, (gx, e)),
+            (d_inv, (x,)), (d_twisted_conj, (x, y, 2)),
+            (d_twisted_conj, (y, x, 0)), (g_mul, (gx, gy)), (g_mul, (gx, e)),
             (g_mul, (e, gy)),
             (commutator_bilinear, (x.a_part, x.b_part, y.a_part, y.b_part)),
             (fq.mul, (fx, fy)), (fq.mul, (fx, fe)), (fq.mul, (fe, fy)),
@@ -231,6 +221,44 @@ def test_operands_are_never_written(d_table):
             before = deepcopy(args)
             fn(*args)
             assert args == before, (fn.__name__, n)
+
+
+def test_twisted_conj_matches_three_products():
+    # h^-1 x shift^n(h) in one pass against d_inv, two d_mul and phi_shift
+    rng = random.Random(12)
+    words = [parse_word(letters_to_word(banded_letters(rng, n))).d_part
+             for n in (1, 8, 64, 256)]
+    commutator = d_element(derived={("AA", -1, 2): 2, ("AB", 0, 0): -1,
+                                    ("BB", 1, 3): 5})
+    hs = [d_identity(), d_mul(central_c(3), central_c(1)), commutator,
+          d_mul(words[1], commutator)] + words
+    xs = [d_identity(), central_c(2), commutator] + words
+    derived_keys = 0
+    for h in hs:
+        derived_keys += any(key[0] != "C" for key in h.derived)
+        for x in xs:
+            for n in range(-3, 4):
+                got = d_twisted_conj(h, x, n)
+                assert got == d_mul(d_mul(d_inv(h), x), phi_shift(h, n)), \
+                    (h, x, n)
+                assert 0 not in got.derived.values()
+    assert derived_keys >= 4
+    x = words[2]
+    assert d_twisted_conj(d_identity(), x, 3) is x
+
+
+def test_derived_diff_is_the_product_when_parts_agree():
+    rng = random.Random(13)
+    for n in (0, 8, 64, 256):
+        x = parse_word(letters_to_word(banded_letters(rng, n))).d_part
+        for y in (x, d_mul(x, central_c(3)),
+                  d_mul(x, d_element(derived={("AB", -2, 1): 4}))):
+            diff = _derived_diff(x, y)
+            prod = d_mul(d_inv(x), y)
+            assert not prod.a_part and not prod.b_part
+            assert diff == prod.derived
+        assert _derived_diff(x, d_mul(x, generator_a(5))) is None
+        assert _derived_diff(x, d_mul(generator_b(-5), x)) is None
 
 
 # --------------------------------------------------------------- group laws
