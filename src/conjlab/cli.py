@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .conjugacy import conjugacy_decide, hnf_solve, IntegerLinearSystem, \
-    solve_commutator_equation, solve_twisted_abelian, solve_twisted_derived
+    solve_commutator_equation, solve_congruences, solve_twisted_abelian, \
+    solve_twisted_derived
 from .extension import (
     GElement,
     WordParseError,
@@ -45,7 +46,7 @@ from .extension import (
 from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_inv, d_mul, d_twisted_conj, \
     generator_a, generator_b, phi_shift
-from .quotients import c_bounds, solve_congruences, spec_from_bounds
+from .quotients import c_bounds, spec_from_bounds
 from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
     mckinsey_search
 from .sepfunc import parse_d_spec
@@ -253,12 +254,16 @@ def _selftest_checks(rng: random.Random):
         return one == (2,) and two is None and three is None
 
     def congruence_examples():
-        # mod 9 the only pivot, 3, has valuation 1: 3x + 6y = 3 is
-        # solvable and 3x + 6y = 4 is not
+        # mod 9 the pivot 3 is a zero divisor: 3x + 6y = 3 is solvable and
+        # 3x + 6y = 4 is not; mod 10, of two primes, 6x = 4 is solvable
+        # and 6x = 3 is not
         one = solve_congruences([({0: 3, 1: 6}, 3, 9)], 9)
         two = solve_congruences([({0: 3, 1: 6}, 4, 9)], 9)
+        ten = solve_congruences([({0: 6}, 4, 10)], 10)
         return one is not None and two is None and \
-            (3 * one.get(0, 0) + 6 * one.get(1, 0) - 3) % 9 == 0
+            (3 * one.get(0, 0) + 6 * one.get(1, 0) - 3) % 9 == 0 and \
+            ten is not None and 6 * ten.get(0, 0) % 10 == 4 and \
+            solve_congruences([({0: 6}, 3, 10)], 10) is None
 
     def witness_word_parses():
         d = parse_d_spec(DEFAULT_D)

@@ -10,13 +10,13 @@ always a commutator; conjugacy then holds exactly when delta is trivial
 under the central exponents d, and the first surviving coordinate is a
 central obstruction naming a finite quotient that separates the pair.
 
-Integer linear algebra is exact throughout. The commutator equation
-fixes its integrality parameter by a one-variable congruence merge that
-uses gcds only, so its cost follows the digits of the exponents, not
-their size. The exact route inside finite quotients solves its systems
-with quotients.solve_congruences. hnf_solve, which puts an integer matrix
-into column Hermite form with unimodular column operations, is the
-oracle the tests and the selftest check against; no decision calls it.
+Integer linear algebra is exact throughout. solve_congruences, the one
+modular solver, eliminates over Z/m by extended gcds without factoring
+m. The commutator equation fixes its integrality parameter with it, as
+one column modulo p^2, and the exact route inside finite quotients
+solves its systems with it. hnf_solve, which puts an integer matrix into
+column Hermite form with unimodular column operations, is the oracle
+the tests and the selftest check against; no decision calls it.
 """
 
 from __future__ import annotations
@@ -66,6 +66,69 @@ def _ext_gcd(a: int, b: int):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _combine(s, u, t, v, m):
+    """s u + t v for rows u, v = (coefficients, rhs), reduced modulo m."""
+    (r1, b1), (r2, b2) = u, v
+    return {c: w for c in r1.keys() | r2.keys()
+            if (w := (s * r1.get(c, 0) + t * r2.get(c, 0)) % m)}, \
+        (s * b1 + t * b2) % m
+
+
+def solve_congruences(rows, m):
+    """One solution of a system of linear congruences, or None.
+
+    Each row is (coefficients, rhs, modulus): a dict column -> integer
+    and the congruence sum(coefficients[c] * x[c]) = rhs mod modulus, with
+    modulus dividing m. The answer is a dict column -> x[c] in 1..m-1;
+    every other column is 0.
+
+    Howell-form elimination over Z/m, which never factors m (Howell 1986;
+    Storjohann and Mulders 1998). A row of modulus M is scaled by m / M.
+    Each row then meets the pivot row of its first column, if any: an
+    extended-gcd row operation of determinant -1 leaves one row holding
+    the column, of gcd entry, and one row without it, which goes on down.
+    A new pivot row sends down its annihilator, m / gcd(pivot, m) times
+    itself, which carries the condition under which the pivot's column
+    can be solved. A row left with no column must read 0 = 0, and back-
+    substitution solves each a x = r (mod m) through gcd(a, m)."""
+    work = [({c: w for c, v in coeffs.items()
+              if (w := v * (m // mod) % m)}, rhs * (m // mod) % m)
+            for coeffs, rhs, mod in rows]
+    pivots = {}
+    while work:
+        row = work.pop()
+        if not row[0]:
+            if row[1]:
+                return None
+            continue
+        c = min(row[0])
+        pivot = pivots.get(c)
+        if pivot is None:
+            pivots[c] = row
+            f = m // gcd(row[0][c], m)
+            if f < m:
+                work.append(_combine(f, row, 0, ({}, 0), m))
+            continue
+        p, a = pivot[0][c], row[0][c]
+        g, s, t = _ext_gcd(p, a)
+        work.append(_combine(a // g, pivot, -(p // g), row, m))
+        if g != p:  # else the pivot divides a and keeps its column
+            del pivots[c]
+            work.append(_combine(s, pivot, t, row, m))
+    x: dict = {}
+    for c in sorted(pivots, reverse=True):
+        prow, pb = pivots[c]
+        r = (pb - sum(v * x.get(cc, 0) for cc, v in prow.items()
+                      if cc != c)) % m
+        g = gcd(prow[c], m)
+        if r % g:
+            raise AssertionError("pivot row lost its annihilator")
+        v = r // g * pow(prow[c] // g, -1, m // g) % m
+        if v:
+            x[c] = v
+    return x
 
 
 def hnf_solve(system: IntegerLinearSystem) -> Optional[tuple]:
@@ -208,25 +271,17 @@ def commutator_bilinear(eta_a: dict, eta_b: dict, xi_a: dict, xi_b: dict) -> dic
                       _mul_correction(xi_a, xi_b, eta_a, eta_b).items()))
 
 
-def _merge_congruence(state, a, c, modulus):
-    """Intersect state = (residue, period) with a*x = c (mod modulus)."""
-    g = gcd(a, modulus)
-    if c % g:
+def _lam_step(pairs, p2):
+    """(lam, period) with the solutions of a lam = c (mod p2), over every
+    pair (a, c), the class lam + period Z and lam its member nearest 0, or
+    None. A pair that reads 0 = 0 holds for every lam and is left out."""
+    sol = solve_congruences([({0: a}, c, p2) for a, c in pairs
+                             if a % p2 or c % p2], p2)
+    if sol is None:
         return None
-    if modulus == g:
-        return state
-    m2 = modulus // g
-    a2, c2 = (a // g) % m2, (c // g) % m2
-    _, inv, _ = _ext_gcd(a2, m2)
-    r2 = (c2 * inv) % m2
-    r1, m1 = state
-    gg = gcd(m1, m2)
-    if (r2 - r1) % gg:
-        return None
-    _, p, _ = _ext_gcd(m1 // gg, m2 // gg)
-    lcm = m1 // gg * m2
-    r = (r1 + m1 * ((r2 - r1) // gg) * p) % lcm
-    return r, lcm
+    period = p2 // gcd(p2, *(a for a, _ in pairs))
+    r = sol.get(0, 0) % period
+    return (r if 2 * r <= period else r - period), period
 
 
 def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DElement]:
@@ -296,12 +351,6 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
     Xa = [xi_a.get(j, 0) for j in J]
     Xb = [xi_b.get(j, 0) for j in J]
 
-    def val_a(q, lam):
-        return Na[q] + lam * p * Xa[q]
-
-    def val_b(q, lam):
-        return Nb[q] + lam * p * Xb[q]
-
     # consistency of every row over J x J, checked lam-free at lam = 0;
     # J ascends, so each pair's keys are read straight from T
     Tget = T.get
@@ -319,20 +368,17 @@ def solve_commutator_equation(h1: DElement, target: DElement) -> Optional[DEleme
             return None
 
     # integrality: each numerator must vanish mod p^2
-    state = (0, 1)
-    for q in range(len(J)):
-        for N, xi in ((Na[q], Xa[q]), (Nb[q], Xb[q])):
-            state = _merge_congruence(state, (xi * p) % p2, (-N) % p2, p2)
-            if state is None:
-                return None
-    r, period = state
-    lam = r if abs(r) <= abs(r - period) or period == 1 else r - period
+    step = _lam_step([(x * p, -n) for _, na, nb, xa, xb in rows
+                      for n, x in ((na, xa), (nb, xb))], p2)
+    if step is None:
+        return None
+    lam = step[0]
     eta_a = {}
     eta_b = {}
-    for q, j in enumerate(J):
-        va, vb = val_a(q, lam), val_b(q, lam)
+    for j, na, nb, xa, xb in rows:
+        va, vb = na + lam * p * xa, nb + lam * p * xb
         if va % p2 or vb % p2:
-            raise AssertionError("congruence merge lost integrality")
+            raise AssertionError("integrality step left a fraction")
         if va:
             eta_a[j] = va // p2
         if vb:

@@ -46,10 +46,10 @@ time polynomial in I rather than in the group order: the abelianized
 equation is solved orbit by orbit of the index shift, and the derived
 coordinates cycle by cycle of their rotation (_derived_stage), which
 leaves one small system of congruences, a row per cycle and per central
-key, solved modulo m by solve_congruences with pivots of least p-adic
-valuation. quotient_conjugator returns the conjugator itself.
-finite_conjugate enumerates the whole quotient; it is the reference that
-the exact route is checked against on orders up to a few thousand.
+key, solved modulo m by conjugacy.solve_congruences, which eliminates
+over Z/m without factoring m. finite_conjugate enumerates the whole
+quotient; it is the reference that the exact route is checked against
+on orders up to a few thousand.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 
-from .conjugacy import commutator_bilinear
+from .conjugacy import commutator_bilinear, solve_congruences
 from .extension import GElement
 from .nilpotent import _collect, _mul_correction, aa_terms, ab_terms, \
     bb_terms
@@ -469,120 +469,6 @@ def _key_cycle(fq, key, s):
             return
 
 
-def solve_congruences(rows, m):
-    """One solution of a system of linear congruences, or None.
-
-    Each row is (coefficients, rhs, modulus): a dict column -> integer
-    and the congruence sum(coefficients[c] * x[c]) = rhs mod modulus, with
-    modulus dividing m. The answer is a dict column -> x[c] in 1..m-1;
-    every other column is 0. The system is solved modulo each prime power
-    q of m (a row of modulus M is scaled by q / gcd(M, q)), and the parts
-    are joined by the Chinese remainder theorem."""
-    x: dict = {}
-    for q in _prime_power_factors(m):
-        part = _solve_prime_power(rows, q)
-        if part is None:
-            return None
-        r = m // q
-        lift = r * pow(r, -1, q) % m  # 1 mod q, 0 mod every other factor
-        for c, v in part.items():
-            v = (x.get(c, 0) + v * lift) % m
-            if v:
-                x[c] = v
-            else:
-                x.pop(c, None)
-    return x
-
-
-def _prime_power_factors(m):
-    """The largest power of each prime dividing m, the primes ascending."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            out.append(q)
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _solve_prime_power(rows, q):
-    """solve_congruences modulo a prime power q by elimination, each pivot
-    an entry of least p-adic valuation among the rows left, that is of
-    least gcd with q (Howell 1986; Storjohann and Mulders 1998). Every
-    other entry of the rows left is then divisible by the pivot's part
-    g = gcd(pivot, q), so the pivot clears its column by exact division,
-    and in back-substitution the pivot row is solvable exactly when its
-    right-hand side is divisible by g, whatever its later columns hold."""
-    system = []
-    for coeffs, rhs, mod in rows:
-        scale = q // math.gcd(mod, q)
-        row = {}
-        for c, v in coeffs.items():
-            v = v * scale % q
-            if v:
-                row[c] = v
-        b = rhs * scale % q
-        if row:
-            system.append((row, b))
-        elif b:
-            return None
-    pivots = []
-    while system:
-        best = None
-        for n, (row, _) in enumerate(system):
-            for c, v in row.items():
-                g = math.gcd(v, q)
-                if best is None or g < best[0]:
-                    best = g, n, c
-                    if g == 1:
-                        break
-            if best[0] == 1:
-                break
-        g, n, c = best
-        prow, pb = system[n]
-        system[n] = system[-1]
-        system.pop()
-        uinv = pow(prow[c] // g, -1, q)
-        rest = []
-        for row, b in system:
-            v = row.get(c)
-            if v:
-                f = v // g * uinv % q
-                for cc, pv in prow.items():
-                    w = (row.get(cc, 0) - f * pv) % q
-                    if w:
-                        row[cc] = w
-                    else:
-                        row.pop(cc, None)
-                b = (b - f * pb) % q
-                if not row:
-                    if b:
-                        return None
-                    continue
-            rest.append((row, b))
-        system = rest
-        pivots.append((c, g, uinv, prow, pb))
-    x: dict = {}
-    for c, g, uinv, prow, pb in reversed(pivots):
-        acc = pb
-        for cc, v in prow.items():
-            if cc != c:
-                acc -= v * x.get(cc, 0)
-        acc %= q
-        if acc % g:
-            return None
-        v = acc // g * uinv % q
-        if v:
-            x[c] = v
-    return x
-
-
 def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     """Conjugacy decision inside the quotient, polynomial in I and the
     coordinate support instead of the group order.
@@ -592,46 +478,9 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     orbit; its kernel, one generator per orbit, and the conjugator's
     derived coordinates then meet in _derived_stage, which walks the
     rotation cycles of the derived coordinates and solves what is left
-    modulo m (solve_congruences).
+    modulo m with conjugacy.solve_congruences, which never factors m.
     """
     return x == y or _exact_route(spec.folded(), x, y) is not None
-
-
-def quotient_conjugator(x, y, spec: FiniteQuotientSpec):
-    """A conjugator g with conj(x, g) == y in the quotient, or None when
-    quotient_conjugate_exact(x, y, spec) is False: g = t^n h0 kappa delta,
-    a t-power, the particular abelian solution, powers of the orbit
-    generators, and derived coordinates walked along their cycles."""
-    fq = spec.folded()
-    if x == y:
-        return fq.identity()
-    found = _exact_route(fq, x, y)
-    if found is None:
-        return None
-    n, h0, (gens, at, rhs, cycles, sol) = found
-    g = fq.mul(fq.from_parts(t=n), h0)
-    for c, (b_family, orbit) in enumerate(gens):
-        v = sol.get(c)
-        if v:
-            ones = dict.fromkeys(orbit, 1)
-            gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
-            g = fq.mul(g, _power(fq, gen, v))
-    delta: dict = {}
-    base = len(gens)
-    for idx, start in enumerate(cycles):
-        # delta at the next key is sign * delta here plus that key's
-        # kappa terms minus its right-hand side
-        d = sol.get(base + idx, 0)
-        carry = 0
-        for key, sign, _ in _key_cycle(fq, start, x[3]):
-            if key != start:
-                d = (carry - rhs.get(key, 0)
-                     + sum(w * sol.get(c, 0) for c, w in at.get(key, ()))) \
-                    % fq.m
-            if d:
-                delta[key] = d
-            carry = sign * d
-    return fq.mul(g, fq.from_parts(derived=delta))
 
 
 def _exact_route(fq, x, y):
@@ -710,8 +559,8 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     cancel around the cycle, except at the 2-torsion c_(I/2), whose
     cycles are walked when that row is present. The rows left, one per
     cycle and one per central key, over the kappa columns and the cycle
-    constants, go to solve_congruences modulo m; a central row keeps its
-    own modulus M(k).
+    constants, go to conjugacy.solve_congruences modulo m, one Howell-form
+    elimination over Z/m; a central row keeps its own modulus M(k).
 
     Returns (generators, the kappa terms per key, rhs, the cycle starts,
     the solution), or None. Column c < len(generators) is the power of

@@ -28,12 +28,13 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from conjlab.conjugacy import REASON_CENTRAL, ConjugacyCertificate, \
-    IntegerLinearSystem, commutator_bilinear, conj_mod_C, hnf_solve
+    IntegerLinearSystem, _ext_gcd, commutator_bilinear, conj_mod_C, hnf_solve
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
 from conjlab.nilpotent import DElement, _surviving_c, d_element, d_equal, \
     d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
-from conjlab.quotients import _minus, _orbit_chain_solve, c_bounds, c_fold, \
-    quotient_order, spec_from_bounds
+from conjlab.quotients import _exact_route, _key_cycle, _minus, \
+    _orbit_chain_solve, _power, c_bounds, c_fold, quotient_order, \
+    spec_from_bounds
 from conjlab.search import I_LADDER, _CANCELS, _LETTERS, _STEPS
 from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
     parse_d_spec
@@ -515,6 +516,70 @@ def _full_system(fq, mid, y, s, orbits_a, orbits_b):
     for r, key in enumerate(row_keys):
         rows[r][slack + r] = c_mod.get(key, m)
     return hnf_solve(IntegerLinearSystem(tuple(map(tuple, rows)), tuple(rhs)))
+
+
+def quotient_conjugator(x, y, spec):
+    """A conjugator g with conj(x, g) == y in the quotient, rebuilt from
+    the solved quotients._exact_route, or None when
+    quotient_conjugate_exact(x, y, spec) is False: g = t^n h0 kappa delta,
+    a t-power, the particular abelian solution, powers of the orbit
+    generators, and derived coordinates walked along their cycles."""
+    fq = spec.folded()
+    if x == y:
+        return fq.identity()
+    found = _exact_route(fq, x, y)
+    if found is None:
+        return None
+    n, h0, (gens, at, rhs, cycles, sol) = found
+    g = fq.mul(fq.from_parts(t=n), h0)
+    for c, (b_family, orbit) in enumerate(gens):
+        v = sol.get(c)
+        if v:
+            ones = dict.fromkeys(orbit, 1)
+            gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
+            g = fq.mul(g, _power(fq, gen, v))
+    delta: dict = {}
+    base = len(gens)
+    for idx, start in enumerate(cycles):
+        # delta at the next key is sign * delta here plus that key's
+        # kappa terms minus its right-hand side
+        d = sol.get(base + idx, 0)
+        carry = 0
+        for key, sign, _ in _key_cycle(fq, start, x[3]):
+            if key != start:
+                d = (carry - rhs.get(key, 0)
+                     + sum(w * sol.get(c, 0) for c, w in at.get(key, ()))) \
+                    % fq.m
+            if d:
+                delta[key] = d
+            carry = sign * d
+    return fq.mul(g, fq.from_parts(derived=delta))
+
+
+# ------------------------------------------------------- congruence merge
+
+def merge_congruence(state, a, c, modulus):
+    """Intersect state = (residue, period) with a*x = c (mod modulus): the
+    gcd-only one-variable merge that fixed the commutator equation's
+    integrality parameter before solve_congruences did, kept as the
+    reference for conjugacy._lam_step."""
+    g = math.gcd(a, modulus)
+    if c % g:
+        return None
+    if modulus == g:
+        return state
+    m2 = modulus // g
+    a2, c2 = (a // g) % m2, (c // g) % m2
+    _, inv, _ = _ext_gcd(a2, m2)
+    r2 = (c2 * inv) % m2
+    r1, m1 = state
+    gg = math.gcd(m1, m2)
+    if (r2 - r1) % gg:
+        return None
+    _, p, _ = _ext_gcd(m1 // gg, m2 // gg)
+    lcm = m1 // gg * m2
+    r = (r1 + m1 * ((r2 - r1) // gg) * p) % lcm
+    return r, lcm
 
 
 # ------------------------------------------------------- the word walk

@@ -38,7 +38,8 @@ from conjlab.nilpotent import (
 from conjlab.sepfunc import constant_prime
 
 from conftest import D_SPECS, banded_letters, box_solutions, d_comm, \
-    decide_by_products, letters_to_g, letters_to_word, load_d, random_letters
+    decide_by_products, letters_to_g, letters_to_word, load_d, \
+    merge_congruence, random_letters
 
 AA, AB, BB, C = ("AA",), ("AB",), ("BB",), ("C",)
 
@@ -87,6 +88,43 @@ def test_hnf_constructed_solvable():
         x0 = [rng.randint(-4, 4) for _ in range(ncols)]
         rhs = tuple(sum(c * v for c, v in zip(row, x0)) for row in rows)
         assert hnf_solve(IntegerLinearSystem(rows, rhs)) is not None
+
+
+def test_solve_congruences_two_large_primes():
+    # m is a product of two primes near 2^30 and the pivots are zero
+    # divisors of it: elimination over Z/m must cost gcds in the digits of
+    # m, never a factorisation of m. A slow solve is cut by an alarm so
+    # that it fails instead of stalling the suite.
+    P, Q = 1073741789, 1073741827
+    m = P * Q
+    x0 = {0: 123456789, 1: 987654321}
+    lhs = [({0: 6 * P, 1: 5}, m), ({0: 4 * Q, 1: 2 * P}, m),
+           ({0: 3, 1: 7}, Q)]
+    rows = [(coeffs, sum(v * x0[c] for c, v in coeffs.items()) % mod, mod)
+            for coeffs, mod in lhs]
+    # the first row again, off by P; and P x = 1, where P is not a unit
+    unsolvable = (rows + [(rows[0][0], rows[0][1] + P, m)],
+                  rows + [({0: P}, 1, m)])
+
+    def stalled(signum, frame):
+        raise TimeoutError("solver stalled on a large modulus")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    try:
+        t0 = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        sol = conjugacy.solve_congruences(rows, m)
+        unsolved = [conjugacy.solve_congruences(r, m) for r in unsolvable]
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        assert time.perf_counter() - t0 < 0.5
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sol is not None and all(0 < v < m for v in sol.values())
+    for coeffs, rhs, mod in rows:
+        assert (sum(v * sol.get(c, 0) for c, v in coeffs.items()) - rhs) \
+            % mod == 0
+    assert unsolved == [None, None]
 
 
 # ---------------------------------------------------------- twisted equations
@@ -287,6 +325,41 @@ def test_commutator_solver_one_sided_brute():
                 assert nonc(d_comm(cand, h1)) != nonc(target)
         else:
             assert nonc(d_comm(h, h1)) == nonc(target)
+
+
+@pytest.mark.parametrize("p", (2, -2, 12, -12, 97, -1000003, 1000000007))
+def test_lam_step_matches_gcd_merge(p):
+    # the integrality step's one-column systems a lam = c (mod p^2), with
+    # a = xi p as the commutator equation builds them, against the
+    # gcd-only merge it replaced: the class (r, period) and its member
+    # nearest 0. Half the systems are built around a solution lam0.
+    rng = random.Random(f"lam {p}")
+    p2 = p * p
+    seen = set()
+    for n in range(60):
+        lam0 = rng.randrange(-p2, p2)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            a = rng.choice((0, 1, -1, rng.randrange(-50, 50))) * p
+            c = a * lam0 if n % 2 else rng.randrange(p2) * rng.choice((1, p))
+            pairs.append((a, c))
+        state = (0, 1)
+        for a, c in pairs:
+            state = merge_congruence(state, a % p2, c % p2, p2)
+            if state is None:
+                break
+        step = conjugacy._lam_step(pairs, p2)
+        seen.add(state is not None)
+        if state is None:
+            assert step is None, pairs
+            continue
+        lam, period = step
+        r, old_period = state
+        assert (lam % period, period) == (r, old_period), pairs
+        assert lam == (r if abs(r) <= abs(r - period) or period == 1
+                       else r - period)
+        assert all((a * lam - c) % p2 == 0 for a, c in pairs)
+    assert seen == {True, False}
 
 
 # ------------------------------------------------------------- mod-C stage

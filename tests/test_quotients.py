@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from conjlab.conjugacy import solve_congruences
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, g_t, \
     parse_word
 from conjlab.nilpotent import central_c, d_element
@@ -19,17 +20,16 @@ from conjlab.quotients import (
     finite_conjugate,
     make_spec,
     quotient_conjugate_exact,
-    quotient_conjugator,
     quotient_is_well_defined,
     relator_folds,
     required_c_modulus,
-    solve_congruences,
 )
 from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
 from conftest import D_SPECS, c_survives, full_system_conjugate, \
-    letters_to_g, load_d, log2_order, orbit_closure_search, random_letters
+    letters_to_g, load_d, log2_order, orbit_closure_search, \
+    quotient_conjugator, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -667,10 +667,11 @@ def test_exact_route_agrees_with_full_system(d_spec):
 def test_solve_congruences_matches_brute_force():
     # random systems of 1-3 rows in 1-3 columns, each row modulo a
     # divisor of m, against every x in (Z/m)^cols; m covers prime powers,
-    # where pivots of valuation 1 and 2 occur, and composite m
+    # where pivots of valuation 1 and 2 occur, products of distinct
+    # primes, and 12, 18 and 36, where a prime repeats beside a second
     rng = random.Random(61)
     seen = set()
-    for m in (4, 6, 8, 9, 12, 27, 30):
+    for m in (4, 6, 8, 9, 12, 27, 30, 10, 15, 18, 36):
         divisors = [k for k in range(1, m + 1) if m % k == 0]
         for _ in range(40):
             ncols = rng.randint(1, 3)
