@@ -15,6 +15,7 @@ no morphism, 2 error (bad input, not a group, a failed internal check),
 
 Every report echoes the full run configuration: text output in a leading
 "config:" line, CSV in a "# config:" comment, JSON in a "config" object.
+Under --time it ends with the elapsed time, "elapsed_seconds" in JSON.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
-from .conjugacy import conjugacy_decide, hnf_solve, IntegerLinearSystem, \
-    solve_commutator_equation, solve_congruences, solve_twisted_abelian, \
-    solve_twisted_derived
+from .conjugacy import conjugacy_decide, solve_commutator_equation, \
+    solve_congruences, solve_twisted_abelian, solve_twisted_derived
 from .extension import (
     GElement,
     WordParseError,
@@ -47,8 +46,7 @@ from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_inv, d_mul, d_twisted_conj, \
     generator_a, generator_b, phi_shift
 from .quotients import c_bounds, spec_from_bounds
-from .search import GrowthRow, McKinseyOutcome, SearchBudget, growth_table, \
-    mckinsey_search
+from .search import SearchBudget, growth_table, mckinsey_search
 from .sepfunc import parse_d_spec
 from .tables import from_permutations, hom_check, load_table
 
@@ -58,33 +56,32 @@ DEFAULT_D = "table:2,31,127,1021,8191"
 WITNESS_CAP_CONSTANT = 64
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    d: str
-    fmt: str
-    max_conj_len: Optional[int] = None
-    max_specs: Optional[int] = None
-    max_order: Optional[int] = None
-    i_max: Optional[int] = None
-
-    def items(self):
-        out = {"command": self.command, "d": self.d, "format": self.fmt}
-        for key in ("max_conj_len", "max_specs", "max_order", "i_max"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key.replace("_", "-")] = v
-        return out
-
-    def line(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.items().items())
+def _config(args, *option_names) -> dict:
+    """The run configuration a report echoes: command, d, format, then
+    each named option that is set, spelled as on the command line."""
+    config = {"command": args.command, "d": args.d, "format": args.format}
+    for name in option_names:
+        value = getattr(args, name)
+        if value is not None:
+            config[name.replace("_", "-")] = value
+    return config
 
 
-def _emit_config(cfg: RunConfig, fmt: str):
-    if fmt == "text":
-        print(f"config: {cfg.line()}")
-    elif fmt == "csv":
-        print(f"# config: {cfg.line()}")
+def _report(args, config, payload, lines, elapsed) -> None:
+    """Print a report: one JSON object, or the config line, the text lines
+    and the elapsed time, with both comment lines marked "# " in CSV."""
+    if args.format == "json":
+        out = {"config": config, **payload}
+        if args.time:
+            out["elapsed_seconds"] = elapsed
+        print(json.dumps(out))
+        return
+    mark = "# " if args.format == "csv" else ""
+    print(mark + "config: " + " ".join(f"{k}={v}" for k, v in config.items()))
+    for line in lines:
+        print(line)
+    if args.time:
+        print(f"{mark}elapsed: {elapsed:.6f}s")
 
 
 def _witness_word(cert, n_input: int) -> str:
@@ -97,31 +94,18 @@ def _witness_word(cert, n_input: int) -> str:
 
 def _cmd_conj(args) -> int:
     d = parse_d_spec(args.d)
-    cfg = RunConfig("conj", args.d, args.format)
     g1, g2 = parse_word(args.word1), parse_word(args.word2)
     t0 = time.perf_counter()
     cert = conjugacy_decide(g1, g2, d)
     elapsed = time.perf_counter() - t0
     n_input = word_length(args.word1) + word_length(args.word2)
-    payload = {
-        "config": cfg.items(),
-        "verdict": cert.verdict,
-        "witness_word": _witness_word(cert, n_input) if cert.is_conjugate else None,
-        "reason": cert.reason_text(),
-    }
-    if args.time:
-        payload["elapsed_seconds"] = elapsed
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        _emit_config(cfg, "text")
-        print(f"verdict: {cert.verdict}")
-        if cert.is_conjugate:
-            print(f"witness: {payload['witness_word']!r}")
-        else:
-            print(f"reason: {cert.reason_text()}")
-        if args.time:
-            print(f"elapsed: {elapsed:.6f}s")
+    witness = _witness_word(cert, n_input) if cert.is_conjugate else None
+    payload = {"verdict": cert.verdict, "witness_word": witness,
+               "reason": cert.reason_text()}
+    lines = [f"verdict: {cert.verdict}",
+             f"witness: {witness!r}" if cert.is_conjugate
+             else f"reason: {cert.reason_text()}"]
+    _report(args, _config(args), payload, lines, elapsed)
     return 0 if cert.is_conjugate else 1
 
 
@@ -130,43 +114,29 @@ def _cmd_mckinsey(args) -> int:
     budget = SearchBudget(max_conj_len=args.max_conj_len,
                           max_order=args.max_order,
                           max_specs=args.max_specs)
-    cfg = RunConfig("mckinsey", args.d, args.format,
-                    max_conj_len=args.max_conj_len, max_specs=args.max_specs,
-                    max_order=args.max_order)
     g1, g2 = parse_word(args.word1), parse_word(args.word2)
     t0 = time.perf_counter()
     out = mckinsey_search(g1, g2, d, budget)
     elapsed = time.perf_counter() - t0
+    spec = out.witness_spec.name() if out.witness_spec else None
     payload = {
-        "config": cfg.items(),
         "verdict": out.verdict,
         "conjugator_word": out.conjugator_word,
-        "witness_spec": out.witness_spec.name() if out.witness_spec else None,
+        "witness_spec": spec,
         "witness_order": out.witness_order,
         "quotients_tested": out.quotients_tested,
         "conjugators_tested": out.conjugators_tested,
     }
-    if args.time:
-        payload["elapsed_seconds"] = elapsed
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        _emit_config(cfg, "text")
-        print(f"verdict: {out.verdict}")
-        if out.verdict == "conjugate":
-            print(f"conjugator: {out.conjugator_word!r}")
-        elif out.verdict == "non-conjugate":
-            print(f"witness quotient: {payload['witness_spec']}"
-                  f" of order {out.witness_order}")
-        print(f"quotients tested: {out.quotients_tested}")
-        print(f"conjugators tested: {out.conjugators_tested}")
-        if args.time:
-            print(f"elapsed: {elapsed:.6f}s")
+    lines = [f"verdict: {out.verdict}"]
     if out.verdict == "conjugate":
-        return 0
-    if out.verdict == "non-conjugate":
-        return 1
-    return 3
+        lines.append(f"conjugator: {out.conjugator_word!r}")
+    elif out.verdict == "non-conjugate":
+        lines.append(f"witness quotient: {spec} of order {out.witness_order}")
+    lines += [f"quotients tested: {out.quotients_tested}",
+              f"conjugators tested: {out.conjugators_tested}"]
+    config = _config(args, "max_conj_len", "max_specs", "max_order")
+    _report(args, config, payload, lines, elapsed)
+    return {"conjugate": 0, "non-conjugate": 1}.get(out.verdict, 3)
 
 
 def _cmd_growth(args) -> int:
@@ -174,8 +144,6 @@ def _cmd_growth(args) -> int:
         raise ValueError(f"i_max must be at least 0, got {args.i_max}")
     d = parse_d_spec(args.d)
     budget = SearchBudget(max_specs=args.max_specs)
-    cfg = RunConfig("growth", args.d, args.format, max_specs=args.max_specs,
-                    i_max=args.i_max)
     t0 = time.perf_counter()
     rows = growth_table(d, range(args.i_max + 1), budget)
     elapsed = time.perf_counter() - t0
@@ -183,36 +151,26 @@ def _cmd_growth(args) -> int:
     # contrast with the decision time
     log2s = [None if r.witness_order is None else math.log2(r.witness_order)
              for r in rows]
-    if args.format == "json":
-        payload = {"config": cfg.items(),
-                   "rows": [{**asdict(r), "log2_witness_order": lg}
-                            for r, lg in zip(rows, log2s)]}
-        if args.time:
-            payload["elapsed_seconds"] = elapsed
-        print(json.dumps(payload))
-    else:
-        _emit_config(cfg, "csv")
-        print("i,word_length,witness_order,decide_seconds,log2_witness_order")
-        for r, lg in zip(rows, log2s):
-            wo = "" if r.witness_order is None else r.witness_order
-            lg = "" if lg is None else f"{lg:.1f}"
-            print(f"{r.i},{r.word_length},{wo},{r.decide_seconds:.6f},{lg}")
-        if args.time:
-            print(f"# elapsed: {elapsed:.6f}s")
+    payload = {"rows": [{**asdict(r), "log2_witness_order": lg}
+                        for r, lg in zip(rows, log2s)]}
+    lines = ["i,word_length,witness_order,decide_seconds,log2_witness_order"]
+    for r, lg in zip(rows, log2s):
+        wo = "" if r.witness_order is None else r.witness_order
+        lg = "" if lg is None else f"{lg:.1f}"
+        lines.append(f"{r.i},{r.word_length},{wo},{r.decide_seconds:.6f},{lg}")
+    _report(args, _config(args, "max_specs", "i_max"), payload, lines, elapsed)
     return 0
 
 
 def _cmd_check_quotient(args) -> int:
     d = parse_d_spec(args.d)
-    cfg = RunConfig("check-quotient", args.d, args.format)
     Q = load_table(args.table)
+    t0 = time.perf_counter()
     ok = hom_check(Q, d)
-    if args.format == "json":
-        print(json.dumps({"config": cfg.items(), "order": Q.order,
-                          "morphism": ok}))
-    else:
-        _emit_config(cfg, "text")
-        print("morphism exists" if ok else "no morphism")
+    elapsed = time.perf_counter() - t0
+    payload = {"order": Q.order, "morphism": ok}
+    lines = ["morphism exists" if ok else "no morphism"]
+    _report(args, _config(args), payload, lines, elapsed)
     return 0 if ok else 1
 
 
@@ -246,12 +204,6 @@ def _selftest_checks(rng: random.Random):
         got = solve_commutator_equation(
             generator_a(0), d_element(derived={("AB", 0, 0): -1}))
         return got == generator_b(0)
-
-    def hermite_examples():
-        one = hnf_solve(IntegerLinearSystem(((2,),), (4,)))
-        two = hnf_solve(IntegerLinearSystem(((2,),), (3,)))
-        three = hnf_solve(IntegerLinearSystem(((1, 2), (3, 4)), (5, 6)))
-        return one == (2,) and two is None and three is None
 
     def congruence_examples():
         # mod 9 the pivot 3 is a zero divisor: 3x + 6y = 3 is solvable and
@@ -314,7 +266,6 @@ def _selftest_checks(rng: random.Random):
         ("twisted abelian solver", twisted_abelian_example),
         ("twisted derived solver", twisted_derived_example),
         ("commutator equation", commutator_example),
-        ("hermite solver", hermite_examples),
         ("congruence solver", congruence_examples),
         ("relator witness words", witness_word_parses),
         ("spell and reparse", spell_roundtrip),

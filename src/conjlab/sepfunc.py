@@ -99,23 +99,6 @@ def _check_index(n: int) -> None:
         raise ValueError("index must be non-negative")
 
 
-class _ConstantPrime(SeparabilityFunction):
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.descriptor = f"constant:{p}"
-        self.eventual_constant = (0, p)
-
-    def value_with_steps(self, n):
-        _check_index(n)
-        return self.p, 1
-
-    def at_least_with_steps(self, n, m):
-        _check_index(n)
-        return m <= self.p, 1
-
-
 class _TablePrimes(SeparabilityFunction):
     def __init__(self, values):
         values = tuple(int(v) for v in values)
@@ -250,7 +233,10 @@ class _FastMajorant(SeparabilityFunction):
 
 
 def constant_prime(p: int) -> SeparabilityFunction:
-    return _ConstantPrime(p)
+    """d(n) = p for every n: a one-entry table."""
+    d = _TablePrimes((p,))
+    d.descriptor = f"constant:{p}"
+    return d
 
 
 def from_table(values) -> SeparabilityFunction:

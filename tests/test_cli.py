@@ -1,6 +1,8 @@
 """Command line driver: exit codes, output formats, config echo."""
 
 import json
+import re
+import shlex
 import sys
 
 import pytest
@@ -12,7 +14,7 @@ from conjlab.quotients import make_spec
 from conjlab.sepfunc import parse_d_spec
 from conjlab.tables import from_permutations
 
-from conftest import format_table
+from conftest import REPO, format_table
 
 D_TABLE = parse_d_spec(DEFAULT_D)
 
@@ -65,15 +67,6 @@ def test_conj_respects_d(capsys):
     code, _, _ = run(capsys, "conj", "a[0]", "a[0] c[2]^31",
                      "--d", "constant:2")
     assert code == 1
-
-
-def test_conj_timing_flag(capsys):
-    code, out, _ = run(capsys, "conj", "a[0]", "a[0]", "--time",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["elapsed_seconds"] >= 0
-    code, out, _ = run(capsys, "conj", "a[0]", "a[0]", "--time")
-    assert any(line.startswith("elapsed: ") for line in out.splitlines())
 
 
 def test_conj_readme_input_example(capsys):
@@ -322,6 +315,69 @@ def test_check_quotient_not_a_group(tmp_path, capsys):
     assert "not a group" in err
 
 
+# ------------------------------------------------------ every command
+
+@pytest.mark.parametrize("argv", [
+    ("conj", "a[0]", "a[0]"),
+    ("mckinsey", "a[0]", "a[0]"),
+    ("growth", "0"),
+    ("check-quotient", None),
+], ids=lambda argv: argv[0])
+def test_timing_flag(tmp_path, capsys, argv):
+    # --time ends a text or CSV report with the elapsed time and adds
+    # elapsed_seconds to a JSON one
+    if argv[-1] is None:
+        z2 = from_permutations((0, 1), (0, 1), (1, 0))
+        argv = argv[:-1] + (table_file(tmp_path, z2, "z2.tbl"),)
+    code, out, _ = run(capsys, *argv, "--time", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elapsed_seconds"] >= 0
+    code, out, _ = run(capsys, *argv, "--time")
+    assert code == 0
+    mark = "# " if argv[0] == "growth" else ""
+    assert out.splitlines()[-1].startswith(f"{mark}elapsed: ")
+
+
+def readme_examples():
+    """(argv, output lines) of each `$ conjlab` example in the README
+    whose input is on the command line."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *lines = chunk.strip("\n").split("\n")
+            argv = shlex.split(command)[1:]
+            if argv[0] != "check-quotient":
+                examples.append((argv, lines))
+    return examples
+
+
+def test_readme_examples(capsys):
+    # a README value cut with "…" pins only its prefix; decide_seconds
+    # is a timing and is not compared
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == \
+        ["conj", "conj", "mckinsey", "growth"]
+    for argv, want in examples:
+        _, out, err = run(capsys, *argv)
+        assert err == ""
+        got = out.splitlines()
+        assert len(got) == len(want), argv
+        skip = None
+        for want_line, line in zip(want, got):
+            fields, want_fields = line.split(","), want_line.split(",")
+            assert len(fields) == len(want_fields), line
+            for k, (field, value) in enumerate(zip(fields, want_fields)):
+                if k == skip:
+                    continue
+                if value.endswith("…"):
+                    assert field.startswith(value[:-1]), line
+                else:
+                    assert field == value, line
+            if "decide_seconds" in want_fields:
+                skip = want_fields.index("decide_seconds")
+
+
 # ------------------------------------------------------ internal checks
 
 def _fail_check(*args, **kwargs):
@@ -349,10 +405,10 @@ def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch,
 
 
 def test_selftest_internal_check_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hnf_solve", _fail_check)
+    monkeypatch.setattr(cli, "solve_congruences", _fail_check)
     code, out, _ = run(capsys, "selftest")
     assert code == 2
-    assert "FAIL - hermite solver (planted failure)" in out.splitlines()
+    assert "FAIL - congruence solver (planted failure)" in out.splitlines()
     assert out.splitlines()[-1] == "1 failing"
 
 
