@@ -248,17 +248,25 @@ def c_fold(n: int, I: int) -> int:
     return min(r, I - r)
 
 
+def coordinate_count(I: int) -> int:
+    """2I + I(3I-1)/2: the a, b and non-central derived coordinates of
+    Q(I, m), each of which carries the modulus m."""
+    return 2 * I + I * (3 * I - 1) // 2
+
+
 def quotient_order(I: int, m: int, moduli, log2: bool = False):
-    """|Q(I, m)| = I * m^(2I + I(3I-1)/2) * prod M(k): the index t, m for
-    each a, b and non-central derived coordinate, and M(k) for each
-    central index. With log2 its base-2 logarithm as a float, summed in
-    that order; a modulus 1 adds nothing to either."""
-    coords = 2 * I + I * (3 * I - 1) // 2
+    """|Q(I, m)| = I * m^coordinate_count(I) * prod M(k): the index t, m
+    for each a, b and non-central derived coordinate, and M(k) for each
+    central index, moduli the sequence of the M(k). With log2 its base-2
+    logarithm as a float: log2 I + (coordinate_count(I) + #{M(k) = m})
+    log2 m, plus count(v) log2 v for each other distinct modulus v != 1
+    in ascending order. A row of the search ladder that meets no bound
+    is then log2 I + n log2 m for a single n."""
+    coords = coordinate_count(I)
     if log2:
-        total = math.log2(I) + coords * math.log2(m)
-        for mod in moduli:
-            if mod != 1:
-                total += math.log2(mod)
+        total = math.log2(I) + (coords + moduli.count(m)) * math.log2(m)
+        for mod in sorted(set(moduli) - {1, m}):
+            total += moduli.count(mod) * math.log2(mod)
         return total
     total = I * m ** coords
     for mod in moduli:

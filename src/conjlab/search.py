@@ -36,12 +36,16 @@ the walk's result and counts those of the plain enumeration:
   -L..L fails at once (_shift_window).
 
 The quotient ladder of each d is sorted once as flat keys: a grid
-position and the float log2 order of every Q(I, m), about 130 KB, with
-the c_bounds(I, d) of each I. A spec is built only when a walk reaches
-it, and then kept as long as d. The search builds the specs it tests
-and the witness walk of growth_table reads survival off the bounds, so
-neither builds the whole ladder; spec_stream builds every spec it
-returns.
+position and the float log2 order of every Q(I, m), with the
+c_bounds(I, d) of each I, about 145 KB in all. Each I's row of keys is
+one pass over a log2 table of the moduli m, and only the few m that
+share a prime with a bound are recomputed. A budget cuts the walk to a
+span read off the sorted keys by bisection (_Ladder.span). A spec is
+built only when a walk reaches it, and then kept as long as d. The
+search builds the specs it tests; the witnesses of growth_table rank
+the quotients in which c_{2^i} survives, read off the bounds, and walk
+no position, so neither builds the whole ladder; spec_stream builds
+every spec it returns.
 
 The quotient walk prunes hard: equal images can never separate, and the
 image is a homomorphism, so the images of g1 and g2 agree exactly when
@@ -58,9 +62,10 @@ from __future__ import annotations
 import time
 import weakref
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from math import gcd, log2, prod
+from itertools import compress, filterfalse, islice, repeat
+from math import gcd, log2
 from typing import Optional
 
 from .conjugacy import conjugacy_decide
@@ -68,8 +73,8 @@ from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
 from .nilpotent import central_c, d_equal, d_letter_conj, d_mul, \
     generator_a, phi_shift
 from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
-    c_moduli_from_bounds, quotient_conjugate_exact, quotient_is_well_defined, \
-    quotient_order, spec_from_bounds
+    c_moduli_from_bounds, coordinate_count, quotient_conjugate_exact, \
+    quotient_is_well_defined, quotient_order
 
 I_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
@@ -107,88 +112,128 @@ class McKinseyOutcome:
     conjugators_tested: int = 0
 
 
-def _prime_powers(cap: int):
+def _primes(cap: int):
     sieve = bytearray([1]) * (cap + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, int(cap ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p::p] = b"\x00" * len(sieve[p * p::p])
+    return compress(range(cap + 1), sieve)
+
+
+def _prime_powers(primes, cap: int):
     out = []
-    for p in range(2, cap + 1):
-        if sieve[p]:
-            q = p
-            while q <= cap:
-                out.append(q)
-                q *= p
+    for p in primes:
+        q = p
+        while q <= cap:
+            out.append(q)
+            q *= p
     return sorted(out)
 
 
 _M_CAP = 8192  # the largest exponent modulus on the ladder
-_MS = tuple(_prime_powers(_M_CAP))
+_PRIMES = frozenset(_primes(_M_CAP))
+_MS = tuple(_prime_powers(_PRIMES, _M_CAP))
+_LOG2_MS = tuple(map(log2, _MS))
 
 
 class _Ladder:
     """The walk order of the grid I_LADDER x _MS for one d, as flat keys.
 
-    bounds[x] is c_bounds(I_LADDER[x], d). Walk position j holds the grid
-    position pos[j] = x * len(_MS) + y of Q(I_LADDER[x], _MS[y]) and its
-    key keys[j], the float log2 order: quotient_order(I, m, moduli,
-    log2=True) on the spec's own moduli, so equal bit for bit to that
-    call on the built spec. Grid positions ascend with (I, m), so a
-    stable sort by key walks in (key, I, m) order. specs is the prefix of
-    the walk built so far: a spec is built when a walk first reaches it
-    and is kept, with its folded arithmetic, as long as the ladder.
+    bounds[x] is c_bounds(I_LADDER[x], d). Grid position g = x * len(_MS)
+    + y stands for Q(I_LADDER[x], _MS[y]), and its key is the float log2
+    order quotient_order(I, m, moduli, log2=True) on the spec's own
+    moduli (key(g)). Walk position j holds the grid position pos[j] and
+    its key keys[j]. Grid positions ascend with (I, m), so a stable sort
+    by key walks in (key, I, m) order. specs is the prefix of the walk
+    built so far: a spec is built when a walk first reaches it and is
+    kept, with its folded arithmetic, as long as the ladder. The ladder
+    keeps pos, keys and bounds, about 145 KB, and no key in grid order:
+    key(g) recomputes one when it is asked for.
+
+    An m prime to every nonzero B(k) has M(k) = m where B(k) = 0 and M(k)
+    = 1 elsewhere, so its key is log2 I + n log2 m, n the coordinates and
+    the free central indices of I: each row is one pass over the log2
+    table of _MS, and only the m that share a prime with a nonzero B(k)
+    are recomputed.
     """
 
     def __init__(self, d):
         self.bounds = [c_bounds(I, d) for I in I_LADDER]
-        keys = array("d")
+        self._meeting = {}
+        keys = []
         for I, bounds in zip(I_LADDER, self.bounds):
-            # an m prime to every nonzero B(k) has modulus m where B(k) = 0
-            # and 1 elsewhere, and a modulus 1 adds nothing to the sum
-            shared = prod(b for b in bounds if b)
-            free = bounds.count(0)
-            keys.extend(quotient_order(
-                I, m, [m] * free if gcd(m, shared) == 1
-                else c_moduli_from_bounds(m, bounds), log2=True) for m in _MS)
-        walk = sorted(range(len(keys)), key=keys.__getitem__)
-        self.pos = array("H", walk)
-        self.keys = array("d", map(keys.__getitem__, walk))
+            row = len(keys)
+            base, n = log2(I), coordinate_count(I) + bounds.count(0)
+            keys += [base + n * lm for lm in _LOG2_MS]
+            for y in set().union(*map(self.meeting, set(bounds) - {0, 1})):
+                keys[row + y] = self.key(row + y)
+        self.pos = array("H", sorted(range(len(keys)), key=keys.__getitem__))
+        keys.sort()
+        self.keys = array("d", keys)
         self.specs = []
+
+    def _quotient(self, g):
+        """I, m and the c-moduli of the quotient at grid position g."""
+        x, y = divmod(g, len(_MS))
+        m = _MS[y]
+        return I_LADDER[x], m, c_moduli_from_bounds(m, self.bounds[x])
+
+    def key(self, g) -> float:
+        """The key of grid position g, equal bit for bit to keys[j] where
+        pos[j] = g."""
+        return quotient_order(*self._quotient(g), log2=True)
 
     def order(self, j) -> int:
         """The exact order of the quotient at walk position j, unbuilt."""
-        x, y = divmod(self.pos[j], len(_MS))
-        m = _MS[y]
-        return quotient_order(I_LADDER[x], m,
-                              c_moduli_from_bounds(m, self.bounds[x]))
+        return quotient_order(*self._quotient(self.pos[j]))
+
+    def position(self, g, key) -> int:
+        """The walk position of grid position g, whose key is key."""
+        j = bisect_left(self.keys, key)
+        while self.pos[j] != g:  # equal keys walk in grid order
+            j += 1
+        return j
+
+    def meeting(self, b):
+        """The y, ascending, whose _MS[y] shares a prime with b (every y
+        for b = 0), kept per b."""
+        ys = self._meeting.get(b)
+        if ys is None:
+            ys = self._meeting[b] = tuple(compress(
+                range(len(_MS)), map((1).__ne__, map(gcd, _MS, repeat(b)))))
+        return ys
 
     def built(self, n):
         """specs, with the first n walk positions built."""
         specs = self.specs
-        width = len(_MS)
-        for p in self.pos[len(specs):n]:
-            x, y = divmod(p, width)
-            specs.append(spec_from_bounds(I_LADDER[x], _MS[y], self.bounds[x]))
+        for g in self.pos[len(specs):n]:
+            specs.append(FiniteQuotientSpec(*self._quotient(g)))
         return specs
 
-    def walk(self, budget: SearchBudget):
-        """The walk positions within budget, in walk order. max_order is
-        applied exactly, with the float key only used to skip the exact
-        comparison far from the bound and to stop past it; max_specs
-        truncates the tail."""
+    def span(self, budget: SearchBudget):
+        """The walk within budget as (stop, skipped): the positions below
+        stop that are not in skipped, in walk order. max_order is applied
+        exactly: a key at most log2 max_order - 1 passes unchecked, none
+        past log2 max_order + 1 passes, and only the band between gets an
+        exact order check. max_specs counts the positions that pass."""
+        stop = min(budget.max_specs, len(self.keys))
+        skipped = set()
         if budget.max_order is None:
-            yield from range(min(budget.max_specs, len(self.keys)))
-            return
+            return stop, skipped
         bound = log2(budget.max_order)
-        taken = 0
-        for j, approx in enumerate(self.keys):
-            if taken >= budget.max_specs or approx > bound + 1:
-                return  # the budget is spent, or the keys ascend past it
-            if approx > bound - 1 and self.order(j) > budget.max_order:
-                continue
-            yield j
-            taken += 1
+        j = min(bisect_right(self.keys, bound - 1), stop)
+        end = bisect_right(self.keys, bound + 1)
+        while j < end and j - len(skipped) < budget.max_specs:
+            if self.order(j) > budget.max_order:
+                skipped.add(j)
+            j += 1
+        return j, skipped
+
+    def walk(self, budget: SearchBudget):
+        """The walk positions within budget, in walk order (see span)."""
+        stop, skipped = self.span(budget)
+        return filterfalse(skipped.__contains__, range(stop))
 
 
 # d -> its _Ladder; an entry lives as long as its d object
@@ -371,21 +416,33 @@ def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
     """Order of the first quotient of spec_stream(d, budget) in which
     c_{2^i} survives, or None when the budget runs out first.
 
-    The walk reads survival off the ladder's bounds: c_{2^i} folds onto
-    k = c_fold(2^i, I) and survives in Q(I, m) exactly when k != 0 and
-    M(k) = gcd(m, B(k)) != 1. The order of the winner is the closed form
-    on its moduli, so the walk builds no spec.
+    Survival is read off the ladder's bounds: c_{2^i} folds onto k =
+    c_fold(2^i, I) and survives in Q(I, m) exactly when k != 0 and M(k) =
+    gcd(m, B(k)) != 1. So B(k) = 1 keeps it in no Q(I, m), B(k) = 0 in
+    every one, and otherwise it survives for the m that share a prime
+    with B(k) (_Ladder.meeting, once per distinct B). Along the powers of
+    one prime p the key and the exact order of Q(I, p^e) grow with e, so
+    Q(I, p^e) is walked after Q(I, p) and passes the budget only when
+    Q(I, p) does: the primes p are the candidates. They are ranked by
+    key, each is placed in the walk by bisection, and the first within
+    the walk's span wins. The order is the closed form on its moduli, so
+    no position is walked and no spec is built.
     """
     ladder = _ladder(d)
-    # B(k) of the fold of c_{2^i} per I, 1 where it folds onto c_0 = 1
-    fold_bounds = []
-    for I, bounds in zip(I_LADDER, ladder.bounds):
+    stop, skipped = ladder.span(budget)
+    width = len(_MS)
+    survivors = []  # (key, grid position) of each candidate
+    for x, (I, bounds) in enumerate(zip(I_LADDER, ladder.bounds)):
         k = c_fold(2 ** i, I)
-        fold_bounds.append(bounds[k - 1] if k else 1)
-    pos, width = ladder.pos, len(_MS)
-    for j in ladder.walk(budget):
-        x, y = divmod(pos[j], width)
-        if gcd(_MS[y], fold_bounds[x]) != 1:
+        for y in ladder.meeting(bounds[k - 1]) if k else ():
+            if _MS[y] in _PRIMES:
+                g = x * width + y
+                survivors.append((ladder.key(g), g))
+    for key, g in sorted(survivors):  # walk order
+        j = ladder.position(g, key)
+        if j >= stop:
+            break
+        if j not in skipped:
             return ladder.order(j)
     return None
 

@@ -386,6 +386,25 @@ def eager_ladder(d):
     return specs
 
 
+def reference_walk(ladder, budget):
+    """The walk positions of a search ladder within budget, one position
+    at a time in walk order: max_order is applied exactly, with the float
+    key only used to skip the exact comparison far from the bound and to
+    stop past it, and max_specs truncates the tail. The reference for
+    _Ladder.walk and _Ladder.span."""
+    if budget.max_order is None:
+        return list(range(min(budget.max_specs, len(ladder.keys))))
+    bound = math.log2(budget.max_order)
+    out = []
+    for j, approx in enumerate(ladder.keys):
+        if len(out) >= budget.max_specs or approx > bound + 1:
+            break  # the budget is spent, or the keys ascend past it
+        if approx > bound - 1 and ladder.order(j) > budget.max_order:
+            continue
+        out.append(j)
+    return out
+
+
 def orbit_closure_search(fq, key, s):
     """The reference for quotients._orbit_closure: breadth-first search
     from a non-central key over rotations by +s and -s, collecting every

@@ -1,5 +1,6 @@
 """Interleaved conjugator/quotient search and the witness growth table."""
 
+import hashlib
 import random
 import tracemalloc
 from itertools import product
@@ -147,18 +148,82 @@ def test_search_budget_rejects_out_of_range_values(field, value):
 
 WITNESS_BUDGETS = [SearchBudget()] + \
     [SearchBudget(max_specs=n) for n in (1, 4430, 4431, 11908, 11909)] + \
-    [SearchBudget(max_order=n) for n in (2047, 2048, 10 ** 6, 2 ** 600)]
+    [SearchBudget(max_order=n) for n in (2047, 2048, 10 ** 6, 2 ** 600)] + \
+    [SearchBudget(max_order=n, max_specs=k)
+     for n, k in ((2048, 8), (10 ** 6, 50), (2 ** 600, 4431))]
+
+
+def near_key_budgets(ladder):
+    """Budgets whose max_order lies within one bit of a walked key: the
+    exact order of walk position j and its neighbours, alone and with a
+    max_specs that ends the walk inside the band of exact checks."""
+    out = []
+    for j in (9, 700, 4431, 9916):
+        order = ladder.order(j)
+        for bound in (order - 1, order, order + 1):
+            out += [SearchBudget(max_order=bound),
+                    SearchBudget(max_order=bound, max_specs=j)]
+    return out
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_walk_matches_reference_walk(d_spec):
+    ladder = search._ladder(load_d(d_spec))
+    for budget in WITNESS_BUDGETS + near_key_budgets(ladder):
+        assert list(ladder.walk(budget)) == \
+            conftest.reference_walk(ladder, budget), budget
+
+
+def test_near_key_budgets_skip_inside_the_band():
+    # order - 1 at a walked key fails that key's exact check inside the
+    # band, so span skips it rather than stopping before it
+    ladder = search._ladder(D_TABLE)
+    for j in (9, 700, 4431, 9916):
+        budget = SearchBudget(max_order=ladder.order(j) - 1)
+        stop, skipped = ladder.span(budget)
+        assert j in skipped and stop > j
+
+
+def test_walk_counts_passing_positions_only():
+    # on a real ladder the exact orders ascend with the keys, so the
+    # skipped positions close the band; orders planted to alternate across
+    # the bound pin that max_specs counts the positions that pass
+    ladder = search._Ladder(D_TABLE)
+    ladder.order = lambda j: 2 ** 38 + j % 2
+    full = conftest.reference_walk(ladder, SearchBudget(max_order=2 ** 38))
+    assert full[-1] + 1 - len(full) > 100  # skipped between passes
+    for n in range(len(full) - 60, len(full) + 2, 3):
+        budget = SearchBudget(max_order=2 ** 38, max_specs=n)
+        assert list(ladder.walk(budget)) == \
+            conftest.reference_walk(ladder, budget), n
 
 
 @pytest.mark.parametrize("d_spec", D_SPECS)
 def test_rf_witness_order_is_first_survivor(d_spec):
     d = load_d(d_spec)
-    for budget in WITNESS_BUDGETS:
-        specs = spec_stream(d, budget)
-        for i in range(5):
-            first = next((s for s in specs if c_survives(s, 2 ** i)), None)
+    ladder = search._ladder(d)
+    # nth-prime has no survivor of c_{2^i} on the ladder for i >= 5
+    i_values = range(8 if d_spec == "nth-prime" else 5)
+    for budget in WITNESS_BUDGETS + near_key_budgets(ladder):
+        walk = conftest.reference_walk(ladder, budget)
+        specs = ladder.built(walk[-1] + 1 if walk else 0)
+        for i in i_values:
+            first = next((specs[j] for j in walk
+                          if c_survives(specs[j], 2 ** i)), None)
             assert rf_witness_order(i, d, budget) == \
                 (first and first.order()), (budget, i)
+    if d_spec == "nth-prime":
+        assert [rf_witness_order(i, d) for i in (5, 6, 7)] == [None] * 3
+
+
+def test_ladder_walk_order_is_pinned():
+    # the walk order of the default d, as the float keys sort it; a change
+    # to the keys that flips a near tie must fail here, not move
+    # quotients_tested
+    ladder = search._Ladder(D_TABLE)
+    text = ",".join(map(str, ladder.pos))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        "3dc820462c039bfc"
 
 
 # --------------------------------------------------------------- mckinsey
@@ -411,6 +476,16 @@ def test_rf_witness_orders():
     assert rf_witness_order(0, D_TABLE) == 2048
     assert rf_witness_order(1, D_TABLE) == make_spec(8, 31, D_TABLE).order()
     assert rf_witness_order(1, D_TABLE, SearchBudget(max_order=10 ** 6)) is None
+
+
+def test_rf_witness_order_walks_no_position(monkeypatch):
+    def walk(ladder, budget):
+        raise AssertionError("the witness walked the ladder")
+
+    monkeypatch.setattr(search._Ladder, "walk", walk)
+    rows = growth_table(parse_d_spec("table:2,31,127,1021,8191"), range(5))
+    assert [r.witness_order.bit_length() for r in rows] == \
+        [12, 548, 2891, 15959, 46116]
 
 
 def test_growth_table_builds_at_most_one_spec_per_row(spec_builds):
