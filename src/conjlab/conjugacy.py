@@ -5,10 +5,12 @@ centre C: the t-exponent must match outright, the abelianization must
 match up to an index shift, and what remains is a twisted equation over
 the derived coordinates (or a plain commutator equation when the
 t-exponent is zero). Failure at this layer is final and the certificate
-carries the reason. Success leaves a central discrepancy delta, which is
-always a commutator; conjugacy then holds exactly when delta is trivial
-under the central exponents d, and the first surviving coordinate is a
-central obstruction naming a finite quotient that separates the pair.
+carries the reason. Success leaves the pair's central defect delta
+(central_defect), which is always a commutator; conjugacy then holds
+exactly when delta is trivial under the central exponents d, and the
+first surviving coordinate is a central obstruction naming a finite
+quotient that separates the pair. The McKinsey search reads the same
+delta: no quotient where it dies separates the pair.
 
 Integer linear algebra is exact throughout. solve_congruences, the one
 modular solver, eliminates over Z/m by extended gcds without factoring
@@ -458,7 +460,7 @@ def conj_mod_C(g1: GElement, g2: GElement):
 
     Any such conjugator serves for the final central comparison: two
     mod-centre conjugators differ by a centralizer element mod C, and
-    re-conjugating shifts the central discrepancy by a commutator with a
+    re-conjugating shifts the central defect by a commutator with a
     central element, which vanishes.
     """
     if g1.t_exp != g2.t_exp:
@@ -473,6 +475,31 @@ def conj_mod_C(g1: GElement, g2: GElement):
     if d1 != d2:
         return None, REASON_AB
     return _conj_untwisted(h1, h2)
+
+
+def central_defect(g1: GElement, g2: GElement):
+    """(w, delta) with w a conjugator modulo the centre (conj_mod_C) and
+    delta the pair's central defect: w^-1 g1 w = g2 delta, delta given by
+    its ("C", k) coordinates. Or (None, reason) when no conjugator modulo
+    the centre exists.
+
+    delta does not depend on which w is chosen (conj_mod_C), so the pair
+    is conjugate in G_d exactly when delta dies there, and its images in
+    any quotient where delta dies are conjugate by the image of w.
+
+    The defect is compared, not multiplied out: x = w^-1 g1 w must match
+    g2 in t-exponent, a- and b-parts, and then g2^-1 x is the difference
+    of the derived parts, which must lie in C.
+    """
+    witness, reason = conj_mod_C(g1, g2)
+    if witness is None:
+        return None, reason
+    x = g_conj(g1, witness)
+    delta = (_derived_diff(g2.d_part, x.d_part)
+             if x.t_exp == g2.t_exp else None)
+    if delta is None or any(key[0] != "C" for key in delta):
+        raise AssertionError("mod-centre witness left a non-central residue")
+    return witness, delta
 
 
 @dataclass(frozen=True)
@@ -501,18 +528,12 @@ def conjugacy_decide(g1: GElement, g2: GElement, d) -> ConjugacyCertificate:
     twisted-unsolvable, or central-obstruction(k, gamma), the last naming
     a central coordinate whose exponent survives every legal reduction.
 
-    The central discrepancy is compared, not multiplied out: x = w^-1 g1 w
-    must match g2 in t-exponent, a- and b-parts, and then g2^-1 x is the
-    difference of the derived parts, which must lie in C.
+    The central defect delta of the pair (central_defect) decides it:
+    the pair is conjugate exactly when delta dies under d.
     """
-    witness, reason = conj_mod_C(g1, g2)
+    witness, delta = central_defect(g1, g2)
     if witness is None:
-        return ConjugacyCertificate("non-conjugate", reason=reason)
-    x = g_conj(g1, witness)
-    delta = (_derived_diff(g2.d_part, x.d_part)
-             if x.t_exp == g2.t_exp else None)
-    if delta is None or any(key[0] != "C" for key in delta):
-        raise AssertionError("mod-centre witness left a non-central residue")
+        return ConjugacyCertificate("non-conjugate", reason=delta)
     survivor = _surviving_c(DElement({}, {}, delta), d)
     if survivor is None:
         return ConjugacyCertificate("conjugate", witness=witness)

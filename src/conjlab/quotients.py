@@ -33,7 +33,7 @@ and no operation pays for the O(I^2) full layout. One fold on D's
 collection kernel, FoldedQuotient._fold, builds every element: image,
 rotate and from_parts call it, and mul and inv rotate through it.
 image_is_trivial settles an element before it from its t-exponent, or
-from the folded C exponents when it is central.
+from the folded C exponents when it is central (kills).
 Elements are values: no operation mutates its arguments, and a caller
 that needs a hashable key freezes the dicts itself. A FiniteQuotientSpec
 stores its moduli flat, (M(1), ..., M(I//2)), builds its FoldedQuotient
@@ -203,10 +203,16 @@ class FoldedQuotient:
     def conj(self, x, g):
         return self.mul(self.inv(g), self.mul(x, g))
 
+    def kills(self, derived) -> bool:
+        """Whether the central element with the ("C", k) coordinates of
+        derived maps to the identity: each key folds through _acc_terms
+        (c_0 = 1, c_{I-k} = c_k^-1) and is reduced modulo its M(k)."""
+        return not self._acc_terms({}, derived.items())
+
     def image_is_trivial(self, g: GElement) -> bool:
         """not any(image(g)). A t-exponent off the multiples of I leaves a
-        nontrivial image, and a central g folds its ("C", k) keys through
-        _acc_terms alone; any other g takes the full _fold."""
+        nontrivial image, and a central g is settled by kills; any other
+        g takes the full _fold."""
         if g.t_exp % self.I:
             return False
         h = g.d_part
@@ -216,7 +222,7 @@ class FoldedQuotient:
                 if key[0] != "C":
                     break
             else:  # central
-                return not self._acc_terms({}, der.items())
+                return self.kills(der)
         return not any(self._fold(a, b, der, 0))
 
     def elements(self):

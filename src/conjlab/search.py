@@ -47,14 +47,25 @@ the quotients in which c_{2^i} survives, read off the bounds, and walk
 no position, so neither builds the whole ladder; spec_stream builds
 every spec it returns.
 
-The quotient walk prunes hard: equal images can never separate, and the
-image is a homomorphism, so the images of g1 and g2 agree exactly when
-z = g1 * g2^-1 maps to the identity. Each spec first gets that
-triviality test of z, once per tested spec, before any conjugacy work;
-for a central z (the relator pairs) it reads the folded C exponents
-alone. Conjugacy inside a quotient is then settled by the exact
-coordinate decision, whatever the quotient's order, and a separating
-quotient is checked to be well defined for d before it is returned.
+The quotient walk prunes hard, and each pruning keeps the walk's result
+and counts those of the plain enumeration, which runs the exact route on
+every spec where z = g1 * g2^-1 has a nontrivial image:
+
+* equal images can never separate, and the image is a homomorphism, so
+  the images of g1 and g2 agree exactly when z maps to the identity.
+  Each spec first gets that triviality test of z, once per tested spec,
+  before any conjugacy work; for a central z (the relator pairs) it
+  reads the folded C exponents alone;
+* when a conjugator w modulo the centre exists, w^-1 g1 w = g2 delta
+  for the pair's central defect delta (conjugacy.central_defect), made
+  once, at the first nontrivial image of z. In every quotient where
+  delta dies (FoldedQuotient.kills) the image of w conjugates the
+  images, so that quotient cannot separate the pair and gets no
+  conjugacy work.
+
+Conjugacy inside any other quotient is settled by the exact coordinate
+decision, whatever the quotient's order, and a separating quotient is
+checked to be well defined for d before it is returned.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ from itertools import compress, filterfalse, islice, repeat
 from math import gcd, log2
 from typing import Optional
 
-from .conjugacy import conjugacy_decide
+from .conjugacy import central_defect, conjugacy_decide
 from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
 from .nilpotent import central_c, d_equal, d_letter_conj, d_mul, \
     generator_a, phi_shift
@@ -371,8 +382,15 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
     built when the walk first reaches it, until both walks run out. The
     first conjugating word and the first separating quotient are exact
     witnesses, whichever comes first is returned.
+
+    A tested spec where z = g1 g2^-1 has a nontrivial image goes to the
+    exact route, unless the pair's central defect dies there: then the
+    images are conjugate (see the module docstring). The defect is made
+    at the first such spec. The verdict, witnesses and both counts are
+    those of running the exact route on every such spec.
     """
     z = g_mul(g1, g_inv(g2))
+    defect = None  # central_defect(g1, g2), made on first need
     ladder = _ladder(d)
     walk = ladder.walk(budget)
     more_specs = True
@@ -396,6 +414,11 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
             quotients += 1
             fq = spec.folded()
             if fq.image_is_trivial(z):  # otherwise the images differ
+                continue
+            if defect is None:
+                defect = central_defect(g1, g2)
+            w, delta = defect
+            if w is not None and fq.kills(delta):  # images conjugate by w
                 continue
             x, y = fq.image(g1), fq.image(g2)
             if not quotient_conjugate_exact(x, y, spec):

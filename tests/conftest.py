@@ -33,9 +33,10 @@ from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
 from conjlab.nilpotent import DElement, _surviving_c, d_element, d_equal, \
     d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
 from conjlab.quotients import _exact_route, _key_cycle, _minus, \
-    _orbit_chain_solve, _power, c_bounds, c_fold, quotient_order, \
-    spec_from_bounds
-from conjlab.search import I_LADDER, _CANCELS, _LETTERS, _STEPS
+    _orbit_chain_solve, _power, c_bounds, c_fold, \
+    quotient_conjugate_exact, quotient_order, spec_from_bounds
+from conjlab.search import I_LADDER, _CANCELS, _CHUNK, _LETTERS, _STEPS, \
+    McKinseyOutcome, spec_stream
 from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
     parse_d_spec
 from conjlab.tables import MAX_TABLE_ORDER, FiniteGroupTable
@@ -644,3 +645,41 @@ def unpruned_word_phase(g1: GElement, g2: GElement, d, length: int):
         if d_equal(c, h2, d):
             return " ".join(_LETTERS[j] for j in path + [i]), reached
         i += 1
+
+
+# ------------------------------------------------------- the quotient walk
+
+def unpruned_mckinsey_search(g1: GElement, g2: GElement, d, budget):
+    """The reference for search.mckinsey_search: word phase L, then the
+    next _CHUNK specs of spec_stream(d, budget), until both run out, with
+    the exact route run on every spec where z = g1 g2^-1 has a nontrivial
+    image, and no central defect read."""
+    z = g_mul(g1, g_inv(g2))
+    specs = spec_stream(d, budget)
+    words = quotients = 0
+    step = 0
+    while True:
+        if step <= budget.max_conj_len:
+            word, reached = unpruned_word_phase(g1, g2, d, step)
+            words += reached
+            if word is not None:
+                return McKinseyOutcome("conjugate", conjugator_word=word,
+                                       quotients_tested=quotients,
+                                       conjugators_tested=words)
+        chunk = specs[step * _CHUNK:(step + 1) * _CHUNK]
+        for spec in chunk:
+            quotients += 1
+            fq = spec.folded()
+            if fq.image_is_trivial(z):
+                continue
+            if not quotient_conjugate_exact(fq.image(g1), fq.image(g2),
+                                            spec):
+                return McKinseyOutcome("non-conjugate", witness_spec=spec,
+                                       witness_order=spec.order(),
+                                       quotients_tested=quotients,
+                                       conjugators_tested=words)
+        step += 1
+        if step > budget.max_conj_len and len(chunk) < _CHUNK:
+            return McKinseyOutcome("budget-exhausted",
+                                   quotients_tested=quotients,
+                                   conjugators_tested=words)

@@ -357,7 +357,7 @@ def test_readme_examples(capsys):
     # is a timing and is not compared
     examples = readme_examples()
     assert [argv[0] for argv, _ in examples] == \
-        ["conj", "conj", "mckinsey", "growth"]
+        ["conj", "conj", "mckinsey", "growth", "mckinsey"]
     for argv, want in examples:
         _, out, err = run(capsys, *argv)
         assert err == ""

@@ -15,6 +15,7 @@ from conjlab.conjugacy import (
     REASON_TWISTED,
     ConjugacyCertificate,
     IntegerLinearSystem,
+    central_defect,
     commutator_bilinear,
     conj_mod_C,
     conjugacy_decide,
@@ -420,6 +421,27 @@ def test_conj_mod_c_twisted_constructed():
 
 
 # ------------------------------------------------------------- full decision
+
+def test_central_defect_is_the_translate():
+    # g2 = w^-1 (g1 c) w for a central c: whichever conjugator modulo the
+    # centre the decision finds, the defect is c^-1 exactly, in D and
+    # before any relator, since it does not depend on the conjugator
+    rng = random.Random(5)
+    for _ in range(150):
+        g1 = g_mul(letters_to_g(random_letters(rng, max_len=5,
+                                               families="ab")),
+                   g_t(rng.choice((0, 0, 1, -2, 3))))
+        w = letters_to_g(random_letters(rng, max_len=6))
+        c = d_element(derived={("C", rng.randint(1, 6)): rng.randint(-4, 4)
+                               for _ in range(rng.randint(0, 2))})
+        g2 = g_conj(g_mul(g1, GElement(c)), w)
+        found, delta = central_defect(g1, g2)
+        assert delta == {key: -v for key, v in c.derived.items()}, (g1, c)
+        assert g_conj(g1, found) == \
+            g_mul(g2, GElement(d_element(derived=delta)))
+    assert central_defect(parse_word("t"), parse_word("t t")) == \
+        (None, REASON_T)
+
 
 def test_decide_constructed_conjugates(d_table):
     rng = random.Random(42)

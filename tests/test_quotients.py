@@ -506,6 +506,67 @@ def test_image_is_trivial_matches_full_image(d_spec, monkeypatch):
                                                       ("t", False)}
 
 
+def defect_pool(rng, spec):
+    """(kind, derived) central defects for one spec, by ("C", k) keys:
+    random keys and exponents, a key k beside one that folds onto I - k
+    (c_{I-k} = c_k^-1, so equal exponents cancel), and keys that fold
+    onto the 2-torsion c_{I/2}."""
+    I = spec.index_modulus
+    pool = []
+    for _ in range(2):
+        der: dict = {}
+        for _ in range(rng.randint(1, 3)):
+            key = ("C", rng.randint(1, 3 * I))
+            der[key] = der.get(key, 0) + rng.choice((1, -1, 2, 3, 31))
+        pool.append(("random", der))
+    if I >= 3:
+        k = rng.randint(1, (I - 1) // 2)
+        e = rng.choice((1, -2, 5))
+        for flip in (I - k, 2 * I - k):
+            pool += [("sign-flip", {("C", k): e, ("C", flip): e}),
+                     ("sign-flip", {("C", k): e, ("C", flip): e + 1})]
+    if I % 2 == 0:
+        for e in (1, 2, -3):
+            pool.append(("two-torsion", {("C", I // 2 + I): e}))
+    return pool
+
+
+def dies_by_hand(spec, der):
+    """Whether the central element with these ("C", n) exponents dies in
+    spec, folded without FoldedQuotient: c_n goes to c_r, r = n mod I,
+    c_0 = 1, c_{I-k} = c_k^-1, and c_k has order M(k)."""
+    I = spec.index_modulus
+    folded: dict = {}
+    for (_, n), e in der.items():
+        r = n % I
+        k, e = (r, e) if 2 * r <= I else (I - r, -e)
+        if k:
+            folded[k] = folded.get(k, 0) + e
+    return all(e % spec.c_moduli[k - 1] == 0 for k, e in folded.items())
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS[:4])
+def test_kills_matches_image_is_trivial(d_spec):
+    # the search skips the exact route in every spec where the pair's
+    # central defect dies (kills); image_is_trivial, the full image of
+    # the central element and a fold by hand are the references, on
+    # every spec the search walks
+    rng = random.Random(d_spec)
+    seen = set()
+    for spec in spec_stream(load_d(d_spec), SearchBudget()):
+        fq = spec.folded()
+        for kind, der in defect_pool(rng, spec):
+            g = GElement(d_element(derived=der))
+            killed = fq.kills(der)
+            assert killed == fq.image_is_trivial(g) == \
+                (not any(fq.image(g))) == dies_by_hand(spec, der), \
+                (spec, der)
+            seen.add((kind, killed))
+    assert seen == {(kind, killed)
+                    for kind in ("random", "sign-flip", "two-torsion")
+                    for killed in (True, False)}
+
+
 def test_order_and_enumeration():
     # the enumeration yields exactly spec.order() distinct elements, each
     # in reduced form: no zero and no unreduced coordinate is stored

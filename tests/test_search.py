@@ -9,7 +9,7 @@ import conftest
 import pytest
 from conftest import D_SPECS, c_survives, eager_ladder, letters_to_g, \
     load_d, log2_order, prime_powers_up_to, random_letters, \
-    unpruned_word_phase
+    unpruned_mckinsey_search, unpruned_word_phase
 
 from conjlab import search
 from conjlab.conjugacy import conjugacy_decide
@@ -448,12 +448,19 @@ def test_d_equal_matches_g_equal():
                 assert equal == (kind == "dying"), (g, z)
 
 
+# a conjugate of g1 by the 6-letter word t a b t B a, beyond the word
+# radius: z = g1 g2^-1 is not central, and the central defect dies in
+# every quotient
+BEYOND_RADIUS = ("a b A t b T", "A b T B A T a b A t b T t a b t B a")
+
+
 @pytest.mark.parametrize("g1, g2, budget, tested", [
     ("a[0]", "a[0] c[1]", SearchBudget(), 9),
     ("a[0]", "a[0] c[4]", SearchBudget(), 7209),
     ("t a", "t a c[1]", SearchBudget(max_specs=50), 50),
     ("t", "t t", SearchBudget(), 9),
-], ids=["readme", "relator-c4", "max-specs", "t-mismatch"])
+    (*BEYOND_RADIUS, SearchBudget(max_specs=500), 500),
+], ids=["readme", "relator-c4", "max-specs", "t-mismatch", "beyond-radius"])
 def test_one_triviality_test_per_tested_quotient(g1, g2, budget, tested,
                                                   monkeypatch):
     # the traced benchmark checks that search makes exactly one
@@ -468,6 +475,87 @@ def test_one_triviality_test_per_tested_quotient(g1, g2, budget, tested,
     monkeypatch.setattr(FoldedQuotient, "image_is_trivial", counted)
     out = mckinsey_search(parse_word(g1), parse_word(g2), D_TABLE, budget)
     assert out.quotients_tested == len(calls) == tested
+
+
+@pytest.fixture
+def exact_routes(monkeypatch):
+    """A list that grows by one for every exact route the search runs."""
+    calls = []
+    original = search.quotient_conjugate_exact
+
+    def counted(x, y, spec):
+        calls.append(spec)
+        return original(x, y, spec)
+
+    monkeypatch.setattr(search, "quotient_conjugate_exact", counted)
+    return calls
+
+
+def test_exact_route_runs_only_where_the_defect_survives(exact_routes):
+    # a central translate under table:2,3,5: z has a nontrivial image in
+    # 350 of the 351 quotients walked, and the defect c_1 survives in 4
+    d = parse_d_spec("table:2,3,5")
+    g1 = parse_word("a b A t b T")
+    g2 = g_conj(g_mul(g1, parse_word("c[1]")), parse_word("A"))
+    out = mckinsey_search(g1, g2, d)
+    assert (out.verdict, out.witness_spec.name(), out.quotients_tested,
+            out.conjugators_tested) == \
+        ("non-conjugate", "Q(I=4,m=2)", 351, 1555)
+    assert len(exact_routes) == 4
+    # a conjugate pair beyond the word radius: the defect dies everywhere
+    exact_routes.clear()
+    out = mckinsey_search(*map(parse_word, BEYOND_RADIUS), D_TABLE,
+                          SearchBudget(max_specs=500))
+    assert (out.verdict, out.quotients_tested, out.conjugators_tested) == \
+        ("budget-exhausted", 500, 1555)
+    assert exact_routes == []
+
+
+def pruning_pool(rng):
+    """(kind, g1, g2) pairs with every shape the defect pruning meets:
+    conjugates by words within the word radius and beyond it, central
+    translates (twisted when g1 has a nonzero t-exponent), and
+    perturbations by one letter."""
+    pool = []
+    for twist in (0, 0, 1, -2):
+        g1 = g_mul(letters_to_g(random_letters(
+            rng, max_len=5, idx_range=(-2, 2), exp_range=(-2, 2),
+            families="ab")), g_t(twist))
+
+        def word(lo, hi):
+            return parse_word(" ".join(rng.choice("tabTAB")
+                                       for _ in range(rng.randint(lo, hi))))
+
+        c1 = parse_word(f"c[1]^{rng.choice((1, -1))}")
+        pool += [("within", g1, g_conj(g1, word(1, 3))),
+                 ("beyond", g1, g_conj(g1, word(6, 7))),
+                 ("translate", g1, g_conj(g_mul(g1, c1), word(0, 3))),
+                 ("perturbation", g1,
+                  g_mul(g_conj(g1, word(1, 3)), word(1, 1)))]
+    return pool
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS[:4])
+def test_pruned_search_matches_unpruned_walk(d_spec, exact_routes,
+                                             monkeypatch):
+    # the search skips the exact route where the central defect dies;
+    # the walk that runs it on every spec where z is nontrivial must
+    # return the same outcome, all fields
+    unpruned = []
+    original = conftest.quotient_conjugate_exact
+    monkeypatch.setattr(conftest, "quotient_conjugate_exact",
+                        lambda *args: unpruned.append(1) or original(*args))
+    d = load_d(d_spec)
+    budget = SearchBudget(max_specs=300)
+    rng = random.Random(d_spec)
+    verdicts = set()
+    for kind, g1, g2 in pruning_pool(rng):
+        out = mckinsey_search(g1, g2, d, budget)
+        assert out == unpruned_mckinsey_search(g1, g2, d, budget), \
+            (kind, g1, g2)
+        verdicts.add(out.verdict)
+    assert verdicts == {"conjugate", "non-conjugate", "budget-exhausted"}
+    assert len(exact_routes) < len(unpruned)
 
 
 # ------------------------------------------------------- witness growth
