@@ -45,7 +45,7 @@ from .extension import (
 from .machine import ProgramError
 from .nilpotent import central_c, d_element, d_inv, d_mul, d_twisted_conj, \
     generator_a, generator_b, phi_shift
-from .quotients import c_bounds, spec_from_bounds
+from .quotients import FoldedQuotient, c_bounds, c_moduli_from_bounds
 from .search import SearchBudget, growth_table, mckinsey_search
 from .sepfunc import parse_d_spec
 from .tables import from_permutations, hom_check, load_table
@@ -235,7 +235,8 @@ def _selftest_checks(rng: random.Random):
 
     def quotient_order():
         d = parse_d_spec("table:2,31,127,1021,8191")
-        return spec_from_bounds(2, 2, c_bounds(2, d)).order() == 2048
+        moduli = c_moduli_from_bounds(2, c_bounds(2, d))
+        return FoldedQuotient(2, 2, moduli).order() == 2048
 
     def table_goldens():
         d = parse_d_spec(DEFAULT_D)

@@ -18,10 +18,11 @@ quotient.
 
 c_bounds(I, d) makes that pass once per I: the bound B(k) does not
 depend on m, so M(k) = gcd(m, B(k)) for every m, and the spec ladder
-reads all of its moduli from one list per I. FiniteQuotientSpec refuses
-moduli under which the folded coordinates form no group: one that does
-not divide m, or one at k = I/2 that does not divide 2. FoldedQuotient
-is built only from a spec, so its arithmetic is always a group.
+reads all of its moduli from one list per I. A quotient is one value,
+FoldedQuotient(I, m, c_moduli), with the moduli flat, (M(1), ...,
+M(I//2)). It refuses moduli under which the folded coordinates form no
+group: one that does not divide m, or one at k = I/2 that does not
+divide 2. So its arithmetic is always a group.
 
 Element form: (a, b, derived, t), the coordinates of D folded. a and b
 map residues 0..I-1 to exponents mod m. derived is keyed as
@@ -35,11 +36,9 @@ rotate and from_parts call it, and mul and inv rotate through it.
 image_is_trivial settles an element before it from its t-exponent, or
 from the folded C exponents when it is central (kills).
 Elements are values: no operation mutates its arguments, and a caller
-that needs a hashable key freezes the dicts itself. A FiniteQuotientSpec
-stores its moduli flat, (M(1), ..., M(I//2)), builds its FoldedQuotient
-on first use and keeps it, so the folded arithmetic lives exactly as
-long as the spec. Its order is the closed formula quotient_order(I, m,
-moduli), which the search ladder also reads without building a spec.
+that needs a hashable key freezes the dicts itself. A quotient's order
+is the closed formula quotient_order(I, m, moduli), which the search
+ladder also reads without building the quotient.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order: the abelianized
@@ -56,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product, repeat
 
 from .conjugacy import commutator_bilinear, solve_congruences
@@ -71,21 +69,46 @@ _ENUMERATION_CAP = 4096  # largest order finite_conjugate enumerates
 _TERMS = {"AA": aa_terms, "AB": ab_terms, "BB": bb_terms}
 
 
+@dataclass(frozen=True)
 class FoldedQuotient:
-    """Arithmetic of the elements of one validated FiniteQuotientSpec.
+    """The finite quotient Q(I, m) with the c-moduli (M(1), ..., M(I//2)),
+    and the arithmetic of its elements.
 
-    m is the a/b/non-central exponent modulus; c_mod maps each central
-    key ("C", k) with M(k) > 1 to M(k). A central index of modulus 1 is
-    not in c_mod and never appears in an element. _fold is the one fold
-    onto this form: image, rotate and from_parts are calls of it, and mul
-    and inv rotate through it before they combine folded coordinates.
+    m is the a/b/non-central exponent modulus. __post_init__ refuses
+    moduli under which the folded coordinates form no group, so every
+    instance is a group; a central index of modulus 1 never appears in
+    an element. Instances are values: equal (I, m, c_moduli) compare and
+    hash equal. _fold is the one fold onto the element form: image,
+    rotate and from_parts are calls of it, and mul and inv rotate through
+    it before they combine folded coordinates.
     """
 
-    def __init__(self, spec: FiniteQuotientSpec):
-        self.I = spec.index_modulus
-        self.m = spec.exponent_modulus
-        self.c_mod = {("C", k): mod
-                      for k, mod in enumerate(spec.c_moduli, 1) if mod > 1}
+    I: int
+    m: int
+    c_moduli: tuple  # (M(1), ..., M(I//2))
+
+    def __post_init__(self):
+        I, m = self.I, self.m
+        if I < 1 or m < 2:
+            raise ValueError("need I >= 1 and m >= 2")
+        if not isinstance(self.c_moduli, tuple):
+            raise TypeError("c_moduli must be a tuple")
+        if len(self.c_moduli) != I // 2:
+            raise ValueError("c_moduli must hold M(k) for k = 1..I//2")
+        for k, mod in enumerate(self.c_moduli, 1):
+            if mod < 1:
+                raise ValueError("moduli must be positive")
+            # otherwise the folded coordinates do not multiply as a group
+            if m % mod:
+                raise ValueError("every c-modulus must divide m")
+            if 2 * k == I and 2 % mod:
+                raise ValueError("the c-modulus at k = I/2 must divide 2")
+
+    def name(self) -> str:
+        return f"Q(I={self.I},m={self.m})"
+
+    def order(self) -> int:
+        return quotient_order(self.I, self.m, self.c_moduli)
 
     @staticmethod
     def _acc_exp(dest, key, v, mod):
@@ -100,18 +123,20 @@ class FoldedQuotient:
         folded into the derived dict der, and return der. This is where a
         central index folds into 1..I//2, through c_0 = 1 and
         c_{I-k} = c_k^{-1}."""
-        I, m, c_mod = self.I, self.m, self.c_mod
+        I, m, c_moduli = self.I, self.m, self.c_moduli
         for key, v in terms:
             mod = m
             if key[0] == "C":
                 k = key[1] % I
                 if 2 * k > I:
-                    key, v = ("C", I - k), -v
-                elif k != key[1]:
-                    key = ("C", k)
-                mod = c_mod.get(key)
-                if mod is None:
+                    k, v = I - k, -v
+                if not k:
                     continue
+                mod = c_moduli[k - 1]
+                if mod == 1:
+                    continue
+                if k != key[1]:
+                    key = ("C", k)
             self._acc_exp(der, key, v, mod)
         return der
 
@@ -234,9 +259,11 @@ class FoldedQuotient:
         basis = sorted([("AA", i, j) for i, j in pairs if i < j]
                        + [("BB", i, j) for i, j in pairs if i < j]
                        + [("AB", i, j) for i, j in pairs])
+        c_keys = [("C", k) for k, mod in enumerate(self.c_moduli, 1) if mod > 1]
         slots = ([(0, i) for i in range(I)] + [(1, i) for i in range(I)]
-                 + [(2, key) for key in basis + list(self.c_mod)])
-        mods = [m] * (2 * I + len(basis)) + list(self.c_mod.values())
+                 + [(2, key) for key in basis + c_keys])
+        mods = ([m] * (2 * I + len(basis))
+                + [mod for mod in self.c_moduli if mod > 1])
         for t in range(I):
             for values in product(*map(range, mods)):
                 parts: tuple = ({}, {}, {})
@@ -345,78 +372,32 @@ def required_c_modulus(I: int, k: int, m: int, d) -> int:
     return math.gcd(m, c_bounds(I, d)[k - 1])
 
 
-@dataclass(frozen=True)
-class FiniteQuotientSpec:
-    index_modulus: int
-    exponent_modulus: int
-    c_moduli: tuple  # (M(1), ..., M(I//2))
-
-    def __post_init__(self):
-        I, m = self.index_modulus, self.exponent_modulus
-        if I < 1 or m < 2:
-            raise ValueError("need I >= 1 and m >= 2")
-        if len(self.c_moduli) != I // 2:
-            raise ValueError("c_moduli must hold M(k) for k = 1..I//2")
-        for k, mod in enumerate(self.c_moduli, 1):
-            if mod < 1:
-                raise ValueError("moduli must be positive")
-            # otherwise the folded coordinates do not multiply as a group
-            if m % mod:
-                raise ValueError("every c-modulus must divide m")
-            if 2 * k == I and 2 % mod:
-                raise ValueError("the c-modulus at k = I/2 must divide 2")
-
-    def name(self) -> str:
-        return f"Q(I={self.index_modulus},m={self.exponent_modulus})"
-
-    @cached_property
-    def _folded(self) -> FoldedQuotient:
-        return FoldedQuotient(self)
-
-    def folded(self) -> FoldedQuotient:
-        """The folded arithmetic of this quotient, built on first use and
-        kept on the spec, so it lives exactly as long as the spec."""
-        return self._folded
-
-    def order(self) -> int:
-        return quotient_order(self.index_modulus, self.exponent_modulus,
-                              self.c_moduli)
-
-
 def c_moduli_from_bounds(m: int, bounds) -> tuple:
     """The largest legitimate c-moduli gcd(m, B(k)), k = 1..I//2, of
     Q(I, m), with bounds = c_bounds(I, d)."""
     return tuple(map(math.gcd, repeat(m), bounds))
 
 
-def spec_from_bounds(I: int, m: int, bounds) -> FiniteQuotientSpec:
-    """Q(I, m) with the c-moduli read from c_bounds(I, d)."""
-    return FiniteQuotientSpec(I, m, c_moduli_from_bounds(m, bounds))
-
-
-def make_spec(I: int, m: int, d) -> FiniteQuotientSpec:
+def make_spec(I: int, m: int, d) -> FoldedQuotient:
     """The finite quotient with the largest legitimate c-moduli."""
-    return spec_from_bounds(I, m, c_bounds(I, d))
+    return FoldedQuotient(I, m, c_moduli_from_bounds(m, c_bounds(I, d)))
 
 
-def quotient_is_well_defined(spec: FiniteQuotientSpec, d) -> bool:
+def quotient_is_well_defined(fq: FoldedQuotient, d) -> bool:
     """True when every defining relator maps to the identity: each declared
     modulus must divide the gcd of everything folding onto its index."""
-    m = spec.exponent_modulus
-    return all(math.gcd(m, b) % declared == 0
-               for declared, b in zip(spec.c_moduli,
-                                      c_bounds(spec.index_modulus, d)))
+    return all(math.gcd(fq.m, b) % declared == 0
+               for declared, b in zip(fq.c_moduli, c_bounds(fq.I, d)))
 
 
-def finite_conjugate(x, y, spec: FiniteQuotientSpec) -> bool:
+def finite_conjugate(x, y, fq: FoldedQuotient) -> bool:
     """Exhaustive conjugacy test, the reference for quotient_conjugate_exact;
     refuses quotients larger than _ENUMERATION_CAP."""
-    order = spec.order()
+    order = fq.order()
     if order > _ENUMERATION_CAP:
         raise ValueError(f"order {order} exceeds the cap {_ENUMERATION_CAP}")
     if x == y:
         return True
-    fq = spec.folded()
     for g in fq.elements():
         if fq.conj(x, g) == y:
             return True
@@ -461,7 +442,7 @@ def _key_cycle(fq, key, s):
     keeps its sign; when its residues swap, [a_i, b_j] with i > j is
     AB(j, i) c_{i-j}^-1, so wrap is that central key, folded, with its
     coefficient, or None when the central index has modulus 1."""
-    I, c_mod = fq.I, fq.c_mod
+    I, c_moduli = fq.I, fq.c_moduli
     start = key
     while True:
         kind, i, j = key
@@ -474,16 +455,16 @@ def _key_cycle(fq, key, s):
         else:
             nxt, sign = ("AB", j, i), 1
             k = i - j
-            ck, v = (("C", I - k), 1) if 2 * k > I else (("C", k), -1)
-            if ck in c_mod:
-                wrap = ck, v
+            k, v = (I - k, 1) if 2 * k > I else (k, -1)
+            if c_moduli[k - 1] > 1:
+                wrap = ("C", k), v
         yield key, sign, wrap
         key = nxt
         if key == start:
             return
 
 
-def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
+def quotient_conjugate_exact(x, y, fq: FoldedQuotient) -> bool:
     """Conjugacy decision inside the quotient, polynomial in I and the
     coordinate support instead of the group order.
 
@@ -494,7 +475,7 @@ def quotient_conjugate_exact(x, y, spec: FiniteQuotientSpec) -> bool:
     rotation cycles of the derived coordinates and solves what is left
     modulo m with conjugacy.solve_congruences, which never factors m.
     """
-    return x == y or _exact_route(spec.folded(), x, y) is not None
+    return x == y or _exact_route(fq, x, y) is not None
 
 
 def _exact_route(fq, x, y):
@@ -535,19 +516,6 @@ def _minus(fq, y, x):
     for key, v in x.items():
         fq._acc_exp(out, key, -v, fq.m)
     return out
-
-
-def _power(fq, x, n):
-    """x^n for an x of t-exponent 0, in closed form: the a- and b-parts
-    and the derived part scale by n, and each of the n(n-1)/2 ordered
-    pairs of factors adds the collection correction corr(x, x)."""
-    a, b, der, _ = x
-    pairs = n * (n - 1) // 2
-    raw = {key: n * v for key, v in der.items()}
-    for key, v in _mul_correction(a, b, a, b).items():
-        raw[key] = raw.get(key, 0) + pairs * v
-    return fq._fold({i: n * v for i, v in a.items()},
-                    {i: n * v for i, v in b.items()}, raw, 0)
 
 
 def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
@@ -646,8 +614,9 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
         if sign_j < 0:
             lin[col] = 2
         rows.append((lin, -const, m))
-    c_mod = fq.c_mod
-    rows.extend((coeffs, b, c_mod[ck]) for ck, (coeffs, b) in central.items())
+    c_moduli = fq.c_moduli
+    rows.extend((coeffs, b, c_moduli[ck[1] - 1])
+                for ck, (coeffs, b) in central.items())
     sol = solve_congruences(rows, m)
     if sol is None:
         return None

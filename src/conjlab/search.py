@@ -83,7 +83,7 @@ from .conjugacy import central_defect, conjugacy_decide
 from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
 from .nilpotent import central_c, d_equal, d_letter_conj, d_mul, \
     generator_a, phi_shift
-from .quotients import FiniteQuotientSpec, c_bounds, c_fold, \
+from .quotients import FoldedQuotient, c_bounds, c_fold, \
     c_moduli_from_bounds, coordinate_count, quotient_conjugate_exact, \
     quotient_is_well_defined, quotient_order
 
@@ -114,7 +114,7 @@ class SearchBudget:
 class McKinseyOutcome:
     verdict: str  # "conjugate", "non-conjugate", "budget-exhausted"
     conjugator_word: Optional[str] = None
-    witness_spec: Optional[FiniteQuotientSpec] = None
+    witness_spec: Optional[FoldedQuotient] = None
     witness_order: Optional[int] = None
     quotients_tested: int = 0
     # position of the last word reached in the full product order of
@@ -157,10 +157,10 @@ class _Ladder:
     moduli (key(g)). Walk position j holds the grid position pos[j] and
     its key keys[j]. Grid positions ascend with (I, m), so a stable sort
     by key walks in (key, I, m) order. specs is the prefix of the walk
-    built so far: a spec is built when a walk first reaches it and is
-    kept, with its folded arithmetic, as long as the ladder. The ladder
-    keeps pos, keys and bounds, about 145 KB, and no key in grid order:
-    key(g) recomputes one when it is asked for.
+    built so far: a quotient is built when a walk first reaches it and
+    is kept as long as the ladder. The ladder keeps pos, keys and bounds,
+    about 145 KB, and no key in grid order: key(g) recomputes one when it
+    is asked for.
 
     An m prime to every nonzero B(k) has M(k) = m where B(k) = 0 and M(k)
     = 1 elsewhere, so its key is log2 I + n log2 m, n the coordinates and
@@ -219,7 +219,7 @@ class _Ladder:
         """specs, with the first n walk positions built."""
         specs = self.specs
         for g in self.pos[len(specs):n]:
-            specs.append(FiniteQuotientSpec(*self._quotient(g)))
+            specs.append(FoldedQuotient(*self._quotient(g)))
         return specs
 
     def span(self, budget: SearchBudget):
@@ -410,9 +410,8 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
         more_specs = len(chunk) == _CHUNK
         specs = ladder.built(chunk[-1] + 1) if chunk else ()
         for j in chunk:
-            spec = specs[j]
+            fq = specs[j]
             quotients += 1
-            fq = spec.folded()
             if fq.image_is_trivial(z):  # otherwise the images differ
                 continue
             if defect is None:
@@ -421,13 +420,13 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
             if w is not None and fq.kills(delta):  # images conjugate by w
                 continue
             x, y = fq.image(g1), fq.image(g2)
-            if not quotient_conjugate_exact(x, y, spec):
-                if not quotient_is_well_defined(spec, d):
-                    raise AssertionError(f"{spec.name()} is not well defined "
+            if not quotient_conjugate_exact(x, y, fq):
+                if not quotient_is_well_defined(fq, d):
+                    raise AssertionError(f"{fq.name()} is not well defined "
                                          f"for {d.descriptor}")
                 return McKinseyOutcome("non-conjugate",
-                                       witness_spec=spec,
-                                       witness_order=spec.order(),
+                                       witness_spec=fq,
+                                       witness_order=fq.order(),
                                        quotients_tested=quotients,
                                        conjugators_tested=words_done)
     return McKinseyOutcome("budget-exhausted",

@@ -30,11 +30,11 @@ from hypothesis import HealthCheck, settings, strategies as st
 from conjlab.conjugacy import REASON_CENTRAL, ConjugacyCertificate, \
     IntegerLinearSystem, _ext_gcd, commutator_bilinear, conj_mod_C, hnf_solve
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
-from conjlab.nilpotent import DElement, _surviving_c, d_element, d_equal, \
-    d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
-from conjlab.quotients import _exact_route, _key_cycle, _minus, \
-    _orbit_chain_solve, _power, c_bounds, c_fold, \
-    quotient_conjugate_exact, quotient_order, spec_from_bounds
+from conjlab.nilpotent import DElement, _mul_correction, _surviving_c, \
+    d_element, d_equal, d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
+from conjlab.quotients import FoldedQuotient, _exact_route, _key_cycle, \
+    _minus, _orbit_chain_solve, c_bounds, c_fold, c_moduli_from_bounds, \
+    quotient_conjugate_exact, quotient_order
 from conjlab.search import I_LADDER, _CANCELS, _CHUNK, _LETTERS, _STEPS, \
     McKinseyOutcome, spec_stream
 from conjlab.sepfunc import from_table, constant_prime, nth_prime, \
@@ -314,13 +314,12 @@ def format_table(Q: FiniteGroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_quotient_spec(spec) -> FiniteGroupTable:
+def from_quotient_spec(fq) -> FiniteGroupTable:
     """Multiplication table of a finite quotient, marking the images of
     a_0, b_0, and t."""
-    order = spec.order()
+    order = fq.order()
     if order > MAX_TABLE_ORDER:
         raise ValueError(f"order {order} exceeds the cap {MAX_TABLE_ORDER}")
-    fq = spec.folded()
 
     def frozen(el):  # folded elements are dicts, which do not hash
         return tuple(frozenset(part.items()) for part in el[:3]) + (el[3],)
@@ -363,15 +362,14 @@ def prime_powers_up_to(cap):
 
 def log2_order(spec):
     """The float log2 order of a built spec."""
-    return quotient_order(spec.index_modulus, spec.exponent_modulus,
-                          spec.c_moduli, log2=True)
+    return quotient_order(spec.I, spec.m, spec.c_moduli, log2=True)
 
 
 def c_survives(spec, n):
     """Whether c_n survives in the quotient, read off its moduli: c_n
     folds onto k = c_fold(n, I) and survives exactly when k != 0 and
     M(k) != 1."""
-    k = c_fold(n, spec.index_modulus)
+    k = c_fold(n, spec.I)
     return k != 0 and spec.c_moduli[k - 1] != 1
 
 
@@ -380,10 +378,9 @@ def eager_ladder(d):
     and sorted by (log2 order, I, m): the reference for the order in
     which search walks its lazy ladder."""
     ms = prime_powers_up_to(8192)
-    specs = [spec_from_bounds(I, m, c_bounds(I, d))
+    specs = [FoldedQuotient(I, m, c_moduli_from_bounds(m, c_bounds(I, d)))
              for I in I_LADDER for m in ms]
-    specs.sort(key=lambda s: (log2_order(s), s.index_modulus,
-                              s.exponent_modulus))
+    specs.sort(key=lambda s: (log2_order(s), s.I, s.m))
     return specs
 
 
@@ -407,7 +404,7 @@ def reference_walk(ladder, budget):
 
 
 def orbit_closure_search(fq, key, s):
-    """The reference for quotients._orbit_closure: breadth-first search
+    """The reference for quotients._key_cycle: breadth-first search
     from a non-central key over rotations by +s and -s, collecting every
     non-central key reached and every central key the rotations touch."""
     nonc, cs = set(), set()
@@ -458,7 +455,7 @@ def box_solutions(rows, rhs, bound):
     return [tuple(int(v) for v in row) for row in grid[hits]]
 
 
-def full_system_conjugate(x, y, spec):
+def full_system_conjugate(x, y, fq):
     """The reference for quotients.quotient_conjugate_exact: for each
     t-power n of the conjugator below gcd(s, I) and the abelianized
     solution h0, one integer system over every key of the rotation
@@ -466,8 +463,7 @@ def full_system_conjugate(x, y, spec):
     generator, a column per non-central key for the derived conjugator
     part, and a slack column per row for its modulus, solved by
     hnf_solve."""
-    fq = spec.folded()
-    I, m = spec.index_modulus, spec.exponent_modulus
+    I, m = fq.I, fq.m
     if x == y:
         return True
     if x[3] != y[3]:
@@ -488,7 +484,11 @@ def full_system_conjugate(x, y, spec):
 
 
 def _full_system(fq, mid, y, s, orbits_a, orbits_b):
-    I, m, c_mod = fq.I, fq.m, fq.c_mod
+    I, m = fq.I, fq.m
+
+    def modulus(key):
+        return fq.c_moduli[key[1] - 1] if key[0] == "C" else m
+
     ma, mb = mid[0], mid[1]
     kappa_cols = []
     for family, orbits in (("a", orbits_a), ("b", orbits_b)):
@@ -531,20 +531,32 @@ def _full_system(fq, mid, y, s, orbits_a, orbits_b):
     for c, key in enumerate(delta_cols):
         rows[row_pos[key]][base + c] -= 1
         for nk, v in fq.rotate(({}, {}, {key: 1}, 0), s)[2].items():
-            mod = c_mod.get(nk, m)
+            mod = modulus(nk)
             rows[row_pos[nk]][base + c] += v - mod if 2 * v > mod else v
     for r, key in enumerate(row_keys):
-        rows[r][slack + r] = c_mod.get(key, m)
+        rows[r][slack + r] = modulus(key)
     return hnf_solve(IntegerLinearSystem(tuple(map(tuple, rows)), tuple(rhs)))
 
 
-def quotient_conjugator(x, y, spec):
+def folded_power(fq, x, n):
+    """x^n for an x of t-exponent 0, in closed form: the a- and b-parts
+    and the derived part scale by n, and each of the n(n-1)/2 ordered
+    pairs of factors adds the collection correction corr(x, x)."""
+    a, b, der, _ = x
+    pairs = n * (n - 1) // 2
+    raw = {key: n * v for key, v in der.items()}
+    for key, v in _mul_correction(a, b, a, b).items():
+        raw[key] = raw.get(key, 0) + pairs * v
+    return fq._fold({i: n * v for i, v in a.items()},
+                    {i: n * v for i, v in b.items()}, raw, 0)
+
+
+def quotient_conjugator(x, y, fq):
     """A conjugator g with conj(x, g) == y in the quotient, rebuilt from
     the solved quotients._exact_route, or None when
-    quotient_conjugate_exact(x, y, spec) is False: g = t^n h0 kappa delta,
+    quotient_conjugate_exact(x, y, fq) is False: g = t^n h0 kappa delta,
     a t-power, the particular abelian solution, powers of the orbit
     generators, and derived coordinates walked along their cycles."""
-    fq = spec.folded()
     if x == y:
         return fq.identity()
     found = _exact_route(fq, x, y)
@@ -557,7 +569,7 @@ def quotient_conjugator(x, y, spec):
         if v:
             ones = dict.fromkeys(orbit, 1)
             gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
-            g = fq.mul(g, _power(fq, gen, v))
+            g = fq.mul(g, folded_power(fq, gen, v))
     delta: dict = {}
     base = len(gens)
     for idx, start in enumerate(cycles):
@@ -667,15 +679,14 @@ def unpruned_mckinsey_search(g1: GElement, g2: GElement, d, budget):
                                        quotients_tested=quotients,
                                        conjugators_tested=words)
         chunk = specs[step * _CHUNK:(step + 1) * _CHUNK]
-        for spec in chunk:
+        for fq in chunk:
             quotients += 1
-            fq = spec.folded()
             if fq.image_is_trivial(z):
                 continue
             if not quotient_conjugate_exact(fq.image(g1), fq.image(g2),
-                                            spec):
-                return McKinseyOutcome("non-conjugate", witness_spec=spec,
-                                       witness_order=spec.order(),
+                                            fq):
+                return McKinseyOutcome("non-conjugate", witness_spec=fq,
+                                       witness_order=fq.order(),
                                        quotients_tested=quotients,
                                        conjugators_tested=words)
         step += 1

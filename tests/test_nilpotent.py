@@ -201,7 +201,7 @@ def test_operands_are_never_written(d_table):
     # the kernel writes into dicts, and d_mul hands back an operand
     # itself for an identity factor: no call may write into an argument
     rng = random.Random(9)
-    fq = make_spec(8, 31, d_table).folded()
+    fq = make_spec(8, 31, d_table)
     e, fe = GElement(), fq.identity()
     for n in (0, 16, 64, 256):
         gx = parse_word(letters_to_word(banded_letters(rng, n)))

@@ -13,10 +13,9 @@ from conjlab.extension import GElement, g_conj, g_inv, g_mul, g_t, \
     parse_word
 from conjlab.nilpotent import central_c, d_element
 from conjlab.quotients import (
-    FiniteQuotientSpec,
     FoldedQuotient,
     _key_cycle,
-    _power,
+    c_fold,
     finite_conjugate,
     make_spec,
     quotient_conjugate_exact,
@@ -27,9 +26,9 @@ from conjlab.quotients import (
 from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
-from conftest import D_SPECS, c_survives, full_system_conjugate, \
-    letters_to_g, load_d, log2_order, orbit_closure_search, \
-    quotient_conjugator, random_letters
+from conftest import D_SPECS, c_survives, folded_power, \
+    full_system_conjugate, letters_to_g, load_d, log2_order, \
+    orbit_closure_search, quotient_conjugator, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
@@ -38,8 +37,8 @@ D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
 # moduli above every exponent used below, so the images show the index
 # folding alone; at k = I/2 the flip c_k = c_{-k} = c_k^{-1} forces 2-torsion
-FOLD2 = FiniteQuotientSpec(2, 64, (2,)).folded()
-FOLD4 = FiniteQuotientSpec(4, 64, (64, 2)).folded()
+FOLD2 = FoldedQuotient(2, 64, (2,))
+FOLD4 = FoldedQuotient(4, 64, (64, 2))
 
 
 def frozen(el):
@@ -72,7 +71,7 @@ def test_project_mod_i_reorders_generators():
 def test_fold_respects_multiplication():
     rng = random.Random(51)
     for I in (1, 2, 3, 4):
-        fq = make_spec(I, 64, constant_prime(2)).folded()
+        fq = make_spec(I, 64, constant_prime(2))
         for _ in range(40):
             x = letters_to_g(random_letters(rng, max_len=4))
             y = letters_to_g(random_letters(rng, max_len=4))
@@ -85,7 +84,7 @@ def test_rotate_is_conjugation_by_t(d_spec):
     d = load_d(d_spec)
     rng = random.Random(f"rotate {d_spec}")
     for I in (1, 2, 3, 4, 8, 12):
-        fq = make_spec(I, 930, d).folded()
+        fq = make_spec(I, 930, d)
         for _ in range(4):
             g = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
             x = fq.image(g)
@@ -96,10 +95,9 @@ def test_rotate_is_conjugation_by_t(d_spec):
 
 def test_power_matches_repeated_product():
     rng = random.Random(55)
-    for spec in (make_spec(2, 2, D_TABLE), make_spec(3, 3, constant_prime(3)),
-                 FiniteQuotientSpec(4, 64, (64, 2)), make_spec(8, 31, D_TABLE)):
-        fq = spec.folded()
-        I, m = spec.index_modulus, spec.exponent_modulus
+    for fq in (make_spec(2, 2, D_TABLE), make_spec(3, 3, constant_prime(3)),
+               FoldedQuotient(4, 64, (64, 2)), make_spec(8, 31, D_TABLE)):
+        I, m = fq.I, fq.m
         for _ in range(6):
             x = fq.image(letters_to_g(random_letters(rng, max_len=6,
                                                      families="abc")))
@@ -109,7 +107,7 @@ def test_power_matches_repeated_product():
             assert x[2] and x[3] == 0
             acc = x
             for n in range(1, 13):
-                assert _power(fq, x, n) == acc, (spec, x, n)
+                assert folded_power(fq, x, n) == acc, (fq, x, n)
                 acc = fq.mul(acc, x)
 
 
@@ -119,7 +117,7 @@ def test_orbit_cycle_walk_matches_search(d_spec):
     d = load_d(d_spec)
     for I in (1, 2, 3, 4, 6, 8, 12):
         for m in (2, 6, 31):
-            fq = make_spec(I, m, d).folded()
+            fq = make_spec(I, m, d)
             keys = [("AA", i, j) for i in range(I) for j in range(i + 1, I)]
             keys += [("BB", i, j) for _, i, j in keys]
             keys += [("AB", i, j) for i in range(I) for j in range(i, I)]
@@ -135,7 +133,8 @@ def test_orbit_cycle_walk_matches_search(d_spec):
                             cycle, cycle[1:] + cycle[:1]):
                         want = {nk: sign % m}
                         if wrap:
-                            want[wrap[0]] = wrap[1] % fq.c_mod[wrap[0]]
+                            ck, v = wrap
+                            want[ck] = v % fq.c_moduli[ck[1] - 1]
                         assert fq.rotate(({}, {}, {k: 1}, 0), s)[2] == want
 
 
@@ -253,56 +252,54 @@ def test_log2_order_matches_order():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(0, 2, ())
+        FoldedQuotient(0, 2, ())
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 1, (2,))
+        FoldedQuotient(2, 1, (2,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(4, 2, (2,))  # M(2) missing
+        FoldedQuotient(4, 2, (2,))  # M(2) missing
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 2, (0,))
+        FoldedQuotient(2, 2, (0,))
     # a modulus that does not divide m: c_1 and c_{-1} would fold apart
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 2, (3,))
+        FoldedQuotient(2, 2, (3,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(3, 4, (3,))
+        FoldedQuotient(3, 4, (3,))
     # at k = I/2 the flip c_k = c_k^{-1} allows 2-torsion at most
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(2, 4, (4,))
+        FoldedQuotient(2, 4, (4,))
     with pytest.raises(ValueError):
-        FiniteQuotientSpec(4, 9, (9, 3))
-    # the folded arithmetic keys only the central indices of modulus > 1
-    assert FiniteQuotientSpec(3, 2, (2,)).folded().c_mod == {("C", 1): 2}
-    assert FiniteQuotientSpec(4, 3, (3, 1)).folded().c_mod == {("C", 1): 3}
-    # folded arithmetic is built only from a spec, so the invalid
-    # modulus above can no longer reach it directly
+        FoldedQuotient(4, 9, (9, 3))
+    # a dict of moduli is refused: iterating it would read its keys, here
+    # a modulus of 1, and pass the checks above
     with pytest.raises(TypeError):
         FoldedQuotient(2, 2, {1: 3})
-    fq = FoldedQuotient(FiniteQuotientSpec(2, 2, (2,)))
+    # only the central indices of modulus > 1 survive in an image
+    fq = FoldedQuotient(3, 2, (2,))
+    assert fq.image(parse_word("c[1]"))[2] == {("C", 1): 1}
+    assert fq.image_is_trivial(parse_word("c[1]^2"))
+    fq = FoldedQuotient(4, 3, (3, 1))
+    assert fq.image(parse_word("c[2]")) == fq.identity()
+    assert fq.image(parse_word("c[1]"))[2] == {("C", 1): 1}
+    fq = FoldedQuotient(2, 2, (2,))
     assert fq.image(parse_word("c[1]")) == fq.image(parse_word("c[-1]"))
 
 
 def test_well_definedness_guards_images():
-    spec = FiniteQuotientSpec(3, 2, (2,))
+    spec = FoldedQuotient(3, 2, (2,))
     assert quotient_is_well_defined(spec, constant_prime(2))
     assert not quotient_is_well_defined(spec, D_TABLE)
     for I in (1, 2, 3, 4, 6, 8):
         assert quotient_is_well_defined(make_spec(I, 6, D_TABLE), D_TABLE)
 
 
-def test_folded_cache_identity():
-    spec = make_spec(2, 2, D_TABLE)
-    assert spec.folded() is spec.folded()
-
-
-@pytest.mark.parametrize("spec", [make_spec(2, 2, D_TABLE),
-                                  make_spec(3, 3, constant_prime(3)),
-                                  make_spec(8, 31, D_TABLE)],
+@pytest.mark.parametrize("fq", [make_spec(2, 2, D_TABLE),
+                                make_spec(3, 3, constant_prime(3)),
+                                make_spec(8, 31, D_TABLE)],
                          ids=["Q(2,2)", "Q(3,3)", "Q(8,31)"])
-def test_operations_leave_arguments_unchanged(spec):
+def test_operations_leave_arguments_unchanged(fq):
     # elements are shared values: no operation may write into the dicts
     # of an argument, even where it returns a part unchanged
-    fq = spec.folded()
-    rng = random.Random(spec.name())
+    rng = random.Random(fq.name())
     for _ in range(6):
         x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
         g = fq.image(letters_to_g(random_letters(rng, max_len=5)))
@@ -311,10 +308,10 @@ def test_operations_leave_arguments_unchanged(spec):
         fq.mul(x, g)
         fq.inv(x)
         fq.conj(x, g)
-        for shift in (0, 1, -1, spec.index_modulus):
+        for shift in (0, 1, -1, fq.I):
             fq.rotate(x, shift)
-        assert quotient_conjugate_exact(x, y, spec)
-        quotient_conjugate_exact(x, g, spec)
+        assert quotient_conjugate_exact(x, y, fq)
+        quotient_conjugate_exact(x, g, fq)
         assert (x, g, y) == before
     word = letters_to_g(random_letters(rng, max_len=6))
     before = deepcopy(word)
@@ -336,8 +333,9 @@ def _assert_reduced(fq, el):
     for key, v in der.items():
         if key[0] == "C":
             assert len(key) == 2 and 1 <= key[1] <= fq.I // 2, key
-            assert fq.c_mod.get(key, 1) > 1, key
-            assert 0 < v < fq.c_mod[key], (key, v)
+            mod = fq.c_moduli[key[1] - 1]
+            assert mod > 1, key
+            assert 0 < v < mod, (key, v)
         else:
             kind, i, j = key
             assert kind in ("AA", "AB", "BB") and 0 <= i <= j < fq.I, key
@@ -345,15 +343,14 @@ def _assert_reduced(fq, el):
             assert 0 < v < fq.m, (key, v)
 
 
-@pytest.mark.parametrize("spec", [make_spec(2, 2, D_TABLE),
-                                  make_spec(3, 3, constant_prime(3)),
-                                  FiniteQuotientSpec(4, 64, (64, 2)),
-                                  make_spec(8, 31, D_TABLE)],
+@pytest.mark.parametrize("fq", [make_spec(2, 2, D_TABLE),
+                                make_spec(3, 3, constant_prime(3)),
+                                FoldedQuotient(4, 64, (64, 2)),
+                                make_spec(8, 31, D_TABLE)],
                          ids=["Q(2,2)", "Q(3,3)", "Q(4,64)", "Q(8,31)"])
-def test_results_hold_only_reduced_coordinates(spec):
-    fq = spec.folded()
-    I, m = spec.index_modulus, spec.exponent_modulus
-    rng = random.Random(f"invariant {spec.name()}")
+def test_results_hold_only_reduced_coordinates(fq):
+    I, m = fq.I, fq.m
+    rng = random.Random(f"invariant {fq.name()}")
     for _ in range(25):
         gx = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
         gy = letters_to_g(random_letters(rng, max_len=6, idx_range=(-9, 9)))
@@ -381,8 +378,7 @@ def test_results_hold_only_reduced_coordinates(spec):
 
 def test_image_is_homomorphism():
     rng = random.Random(52)
-    for spec in (make_spec(2, 2, D_TABLE), make_spec(3, 3, constant_prime(3))):
-        fq = spec.folded()
+    for fq in (make_spec(2, 2, D_TABLE), make_spec(3, 3, constant_prime(3))):
         for _ in range(60):
             x = letters_to_g(random_letters(rng, max_len=5))
             y = letters_to_g(random_letters(rng, max_len=5))
@@ -394,8 +390,7 @@ def test_image_is_homomorphism():
 def test_image_kills_relators():
     # the defining central relators map to the identity exactly when the
     # moduli are legitimate
-    spec = make_spec(4, 2, D_TABLE)
-    fq = spec.folded()
+    fq = make_spec(4, 2, D_TABLE)
     for i in range(6):
         relator = GElement(d_element(derived={("C", 2 ** i): D_TABLE.value(i)}))
         assert fq.image_is_trivial(relator)
@@ -406,16 +401,15 @@ def test_c_survives_matches_image(d_spec):
     # the witness walk reads survival off the moduli; the folded image of
     # the central generator is the reference
     specs = spec_stream(load_d(d_spec), SearchBudget())
-    for spec in specs[::7]:
-        fq = spec.folded()
+    for fq in specs[::7]:
         for i in range(7):
-            assert c_survives(spec, 2 ** i) == \
+            assert c_survives(fq, 2 ** i) == \
                 (not fq.image_is_trivial(GElement(central_c(2 ** i)))), \
-                (spec, i)
+                (fq, i)
 
 
 def test_image_from_parts_round_trip():
-    fq = make_spec(2, 2, D_TABLE).folded()
+    fq = make_spec(2, 2, D_TABLE)
     assert fq.image(parse_word("a[0]")) == fq.from_parts(a={0: 1})
     assert fq.image(parse_word("t")) == fq.from_parts(t=1)
     assert fq.image(GElement()) == fq.identity()
@@ -432,7 +426,7 @@ def _central(*pairs):
 def triviality_pool(spec):
     """(kind, element) pairs that reach each branch of image_is_trivial,
     with both answers where the kind allows them."""
-    I, m = spec.index_modulus, spec.exponent_modulus
+    I, m = spec.I, spec.m
     half = I // 2
     pool = []
     # central: indices at and past I, folds onto I/2, sign-flipped folds
@@ -466,7 +460,7 @@ def triviality_pool(spec):
 @pytest.mark.parametrize("d_spec", D_SPECS)
 def test_image_is_trivial_matches_full_image(d_spec, monkeypatch):
     # the shortcuts of image_is_trivial against the full image, on every
-    # 7th spec the search walks: a central element or an off-multiple
+    # 7th quotient the search walks: a central element or an off-multiple
     # t-exponent never takes the full fold, an element with an a- or
     # b-part or a non-central derived key always does. mckinsey_search
     # reads a nontrivial image of z = g1 g2^-1 as unequal images of g1
@@ -474,7 +468,7 @@ def test_image_is_trivial_matches_full_image(d_spec, monkeypatch):
     # on every 4th z too.
     rng = random.Random(d_spec)
     specs = spec_stream(load_d(d_spec), SearchBudget())[::7]
-    assert max(spec.index_modulus for spec in specs) == 64
+    assert max(fq.I for fq in specs) == 64
     g1 = letters_to_g(random_letters(rng, max_len=4))
     fold = FoldedQuotient._fold
     folds = []
@@ -485,21 +479,20 @@ def test_image_is_trivial_matches_full_image(d_spec, monkeypatch):
 
     monkeypatch.setattr(FoldedQuotient, "_fold", counted)
     seen = set()
-    for spec in specs:
-        fq = spec.folded()
+    for fq in specs:
         x = fq.image(g1)
-        for n, (kind, z) in enumerate(triviality_pool(spec)):
+        for n, (kind, z) in enumerate(triviality_pool(fq)):
             before = len(folds)
             trivial = fq.image_is_trivial(z)
             took_fold = len(folds) > before
-            assert trivial == (not any(fq.image(z))), (spec, kind, z)
+            assert trivial == (not any(fq.image(z))), (fq, kind, z)
             assert took_fold == (kind not in ("central", "t")), \
-                (spec, kind, z)
+                (fq, kind, z)
             seen.add((kind, trivial))
             if n % 4 == 0:
                 g2 = g_mul(g_inv(z), g1)
                 assert fq.image_is_trivial(g_mul(g1, g_inv(g2))) == \
-                    (x == fq.image(g2)), (spec, z)
+                    (x == fq.image(g2)), (fq, z)
     assert seen == {(kind, trivial)
                     for kind in ("central", "cancelling", "noncentral")
                     for trivial in (True, False)} | {("residues", False),
@@ -511,7 +504,7 @@ def defect_pool(rng, spec):
     random keys and exponents, a key k beside one that folds onto I - k
     (c_{I-k} = c_k^-1, so equal exponents cancel), and keys that fold
     onto the 2-torsion c_{I/2}."""
-    I = spec.index_modulus
+    I = spec.I
     pool = []
     for _ in range(2):
         der: dict = {}
@@ -535,7 +528,7 @@ def dies_by_hand(spec, der):
     """Whether the central element with these ("C", n) exponents dies in
     spec, folded without FoldedQuotient: c_n goes to c_r, r = n mod I,
     c_0 = 1, c_{I-k} = c_k^-1, and c_k has order M(k)."""
-    I = spec.index_modulus
+    I = spec.I
     folded: dict = {}
     for (_, n), e in der.items():
         r = n % I
@@ -547,40 +540,92 @@ def dies_by_hand(spec, der):
 
 @pytest.mark.parametrize("d_spec", D_SPECS[:4])
 def test_kills_matches_image_is_trivial(d_spec):
-    # the search skips the exact route in every spec where the pair's
+    # the search skips the exact route in every quotient where the pair's
     # central defect dies (kills); image_is_trivial, the full image of
     # the central element and a fold by hand are the references, on
-    # every spec the search walks
+    # every quotient the search walks
     rng = random.Random(d_spec)
     seen = set()
-    for spec in spec_stream(load_d(d_spec), SearchBudget()):
-        fq = spec.folded()
-        for kind, der in defect_pool(rng, spec):
+    for fq in spec_stream(load_d(d_spec), SearchBudget()):
+        for kind, der in defect_pool(rng, fq):
             g = GElement(d_element(derived=der))
             killed = fq.kills(der)
             assert killed == fq.image_is_trivial(g) == \
-                (not any(fq.image(g))) == dies_by_hand(spec, der), \
-                (spec, der)
+                (not any(fq.image(g))) == dies_by_hand(fq, der), \
+                (fq, der)
             seen.add((kind, killed))
     assert seen == {(kind, killed)
                     for kind in ("random", "sign-flip", "two-torsion")
                     for killed in (True, False)}
 
 
+def central_fold_by_hand(fq, n, e):
+    """The derived part of the image of c_n^e, from c_fold alone: c_n
+    goes to c_k, k = c_fold(n, I), with sign -1 when n mod I > I/2, and
+    the exponent is read modulo M(k); nothing survives at k = 0."""
+    I = fq.I
+    k = c_fold(n, I)
+    if not k:
+        return {}
+    sign = -1 if 2 * (n % I) > I else 1
+    v = sign * e % fq.c_moduli[k - 1]
+    return {("C", k): v} if v else {}
+
+
+def assert_central_fold(fq):
+    """kills and from_parts on every single central key c_n, n in
+    -2I..2I, against central_fold_by_hand."""
+    for n in range(-2 * fq.I, 2 * fq.I + 1):
+        for e in (1, -1, 2):
+            der = {("C", n): e}
+            want = central_fold_by_hand(fq, n, e)
+            assert fq.from_parts(derived=der) == ({}, {}, want, 0), \
+                (fq, n, e)
+            assert fq.kills(der) == (not want), (fq, n, e)
+
+
+@pytest.mark.parametrize("fq", [FoldedQuotient(1, 2, ()),
+                                FoldedQuotient(2, 2, (2,)),
+                                FoldedQuotient(3, 3, (3,)),
+                                FoldedQuotient(4, 64, (64, 2)),
+                                FoldedQuotient(6, 6, (3, 6, 2))],
+                         ids=["Q(1,2)", "Q(2,2)", "Q(3,3)", "Q(4,64)",
+                              "Q(6,6)"])
+def test_central_fold_matches_c_fold(fq):
+    # the one fold of a central key, in _acc_terms, reads the moduli
+    # tuple; c_fold and the moduli are the reference
+    assert_central_fold(fq)
+
+
+@pytest.mark.parametrize("d_spec", ["table:2,31,127,1021,8191",
+                                    "constant:3"])
+def test_central_fold_on_ladder_quotients(d_spec):
+    # per I, the first quotient the search walks with an index of modulus
+    # 1, and the first with one beside a modulus above 2, where the sign
+    # of a flipped fold shows
+    picked = {}
+    for fq in spec_stream(load_d(d_spec), SearchBudget()):
+        if 1 in fq.c_moduli:
+            picked.setdefault((fq.I, max(fq.c_moduli) > 2), fq)
+    assert len(picked) >= 15
+    for fq in picked.values():
+        assert_central_fold(fq)
+
+
 def test_order_and_enumeration():
-    # the enumeration yields exactly spec.order() distinct elements, each
+    # the enumeration yields exactly fq.order() distinct elements, each
     # in reduced form: no zero and no unreduced coordinate is stored
-    for spec, order in ((make_spec(1, 2, D_TABLE), 8),
-                        (make_spec(1, 3, constant_prime(3)), 27),
-                        (make_spec(2, 2, D_TABLE), 2048)):
-        fq = spec.folded()
+    for fq, order in ((make_spec(1, 2, D_TABLE), 8),
+                      (make_spec(1, 3, constant_prime(3)), 27),
+                      (make_spec(2, 2, D_TABLE), 2048)):
         elems = list(fq.elements())
         assert len(elems) == len({frozen(x) for x in elems}) == \
-            spec.order() == order
+            fq.order() == order
         for el in elems:
             a, b, der, t = el
             assert all(0 < v < fq.m for part in (a, b) for v in part.values())
-            assert all(0 < v < (fq.c_mod[key] if key[0] == "C" else fq.m)
+            assert all(0 < v < (fq.c_moduli[key[1] - 1] if key[0] == "C"
+                                else fq.m)
                        for key, v in der.items())
             _assert_reduced(fq, el)
 
@@ -588,18 +633,16 @@ def test_order_and_enumeration():
 # -------------------------------------------------------- conjugacy in Q
 
 def test_exact_matches_exhaustive_on_smallest_quotient():
-    spec = make_spec(1, 2, D_TABLE)
-    fq = spec.folded()
+    fq = make_spec(1, 2, D_TABLE)
     elems = list(fq.elements())
     for x in elems:
         for y in elems:
-            assert finite_conjugate(x, y, spec) == \
-                quotient_conjugate_exact(x, y, spec)
+            assert finite_conjugate(x, y, fq) == \
+                quotient_conjugate_exact(x, y, fq)
 
 
 def test_exact_matches_exhaustive_on_q22():
-    spec = make_spec(2, 2, D_TABLE)
-    fq = spec.folded()
+    fq = make_spec(2, 2, D_TABLE)
     rng = random.Random(53)
     elems = None
     for _ in range(40):
@@ -613,8 +656,8 @@ def test_exact_matches_exhaustive_on_q22():
             if elems is None:
                 elems = list(fq.elements())
             x, y = rng.choice(elems), rng.choice(elems)
-        assert finite_conjugate(x, y, spec) == \
-            quotient_conjugate_exact(x, y, spec)
+        assert finite_conjugate(x, y, fq) == \
+            quotient_conjugate_exact(x, y, fq)
 
 
 @pytest.mark.parametrize("d_spec", ["table:2,3,5", "constant:3"])
@@ -625,58 +668,54 @@ def test_exact_matches_exhaustive_on_streamed_specs(d_spec):
     rng = random.Random(d_spec)
     specs = spec_stream(d, SearchBudget(max_order=4096))
     assert len(specs) == 11
-    for spec in specs:
-        fq = spec.folded()
-        assert len(list(fq.elements())) == spec.order()
+    for fq in specs:
+        assert len(list(fq.elements())) == fq.order()
         c1 = fq.image(parse_word("c[1]"))
         for _ in range(3):
             x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
             y = fq.conj(x, fq.image(letters_to_g(random_letters(rng, max_len=5))))
             perturbed = fq.mul(y, fq.image(parse_word(rng.choice("abAB"))))
             for other in (y, fq.mul(y, c1), perturbed):
-                assert finite_conjugate(x, other, spec) == \
-                    quotient_conjugate_exact(x, other, spec), (spec, x, other)
+                assert finite_conjugate(x, other, fq) == \
+                    quotient_conjugate_exact(x, other, fq), (fq, x, other)
         # t and t c_1 meet only through a derived conjugator on the orbit
         # of [a_0, b_1], whose rotation wraps onto the 2-torsion c_1
         t = fq.image(parse_word("t"))
         tc = fq.mul(t, c1)
-        assert finite_conjugate(t, tc, spec) == \
-            quotient_conjugate_exact(t, tc, spec)
+        assert finite_conjugate(t, tc, fq) == \
+            quotient_conjugate_exact(t, tc, fq)
 
 
 def test_exact_handles_huge_quotients():
-    spec = make_spec(8, 31, D_TABLE)
-    fq = spec.folded()
+    fq = make_spec(8, 31, D_TABLE)
     rng = random.Random(54)
     for _ in range(12):
         x = fq.image(letters_to_g(random_letters(rng, max_len=5)))
         g = fq.image(letters_to_g(random_letters(rng, max_len=5)))
         y = fq.conj(x, g)
-        assert quotient_conjugate_exact(x, y, spec)
-        assert fq.conj(x, quotient_conjugator(x, y, spec)) == y
+        assert quotient_conjugate_exact(x, y, fq)
+        assert fq.conj(x, quotient_conjugator(x, y, fq)) == y
     with pytest.raises(ValueError):
-        finite_conjugate(fq.identity(), fq.identity(), spec)
+        finite_conjugate(fq.identity(), fq.identity(), fq)
 
 
 def test_separating_witness_in_q22():
     # the quotient that certifies a_0 and a_0 c_1 are not conjugate
-    spec = make_spec(2, 2, D_TABLE)
-    fq = spec.folded()
+    fq = make_spec(2, 2, D_TABLE)
     x = fq.image(parse_word("a[0]"))
     y = fq.image(parse_word("a[0] c[1]"))
     assert x != y
-    assert not quotient_conjugate_exact(x, y, spec)
-    assert not finite_conjugate(x, y, spec)
+    assert not quotient_conjugate_exact(x, y, fq)
+    assert not finite_conjugate(x, y, fq)
 
 
 def test_exact_conjugacy_respects_t_classes():
-    spec = make_spec(3, 2, constant_prime(2))
-    fq = spec.folded()
+    fq = make_spec(3, 2, constant_prime(2))
     x = fq.image(parse_word("t a[0]"))
     y = fq.image(parse_word("t^2 a[0]"))
-    assert not quotient_conjugate_exact(x, y, spec)
-    assert quotient_conjugate_exact(x, fq.conj(x, fq.image(parse_word("b[1] t"))),
-                                    spec)
+    assert not quotient_conjugate_exact(x, y, fq)
+    assert quotient_conjugate_exact(
+        x, fq.conj(x, fq.image(parse_word("b[1] t"))), fq)
 
 
 AGREEMENT_IS = (2, 3, 4, 6, 8, 12, 16)
@@ -701,8 +740,7 @@ def test_exact_route_agrees_with_full_system(d_spec):
             shifts = shifts[di::len(D_SPECS)]
         for r, s in enumerate(shifts):
             m = AGREEMENT_MS[(k + r + di) % len(AGREEMENT_MS)]
-            spec = make_spec(I, m, d)
-            fq = spec.folded()
+            fq = make_spec(I, m, d)
             x = fq.mul(fq.from_parts(t=s), fq.image(letters_to_g(
                 random_letters(rng, max_len=4, families="abc"))))
             g = fq.image(letters_to_g(random_letters(rng, max_len=3)))
@@ -713,13 +751,13 @@ def test_exact_route_agrees_with_full_system(d_spec):
             # past I = 6 the derived translate is left out, and the
             # abelian one costs no system
             for other in others if I < 8 else others[:2] + others[3:]:
-                got = quotient_conjugate_exact(x, other, spec)
-                assert got == full_system_conjugate(x, other, spec), \
-                    (spec, x, other)
-                conj = quotient_conjugator(x, other, spec)
+                got = quotient_conjugate_exact(x, other, fq)
+                assert got == full_system_conjugate(x, other, fq), \
+                    (fq, x, other)
+                conj = quotient_conjugator(x, other, fq)
                 assert (conj is not None) == got
                 if got:
-                    assert fq.conj(x, conj) == other, (spec, x, other)
+                    assert fq.conj(x, conj) == other, (fq, x, other)
                 seen.add((I, got))
     assert seen >= {(I, got) for I in AGREEMENT_IS if I < 12
                     for got in (True, False)}

@@ -18,8 +18,8 @@ from conjlab.extension import GElement, g_conj, g_equal, g_inv, g_mul, \
 from conjlab.machine import parse_program
 from conjlab.nilpotent import central_c, d_element, d_equal, \
     d_letter_conj, d_mul, generator_a, phi_shift
-from conjlab.quotients import FiniteQuotientSpec, FoldedQuotient, \
-    make_spec, quotient_is_well_defined, required_c_modulus
+from conjlab.quotients import FoldedQuotient, make_spec, \
+    quotient_is_well_defined, required_c_modulus
 from conjlab.search import (
     I_LADDER,
     SearchBudget,
@@ -35,20 +35,20 @@ D_TABLE = from_table([2, 31, 127, 1021, 8191])
 
 
 def grid_ids(specs):
-    return [(s.index_modulus, s.exponent_modulus, s.c_moduli) for s in specs]
+    return [(s.I, s.m, s.c_moduli) for s in specs]
 
 
 @pytest.fixture
 def spec_builds(monkeypatch):
-    """A list that grows by one for every FiniteQuotientSpec built."""
+    """A list that grows by one for every FoldedQuotient built."""
     built = []
-    check = FiniteQuotientSpec.__post_init__
+    check = FoldedQuotient.__post_init__
 
-    def counted(spec):
-        built.append(spec)
-        check(spec)
+    def counted(fq):
+        built.append(fq)
+        check(fq)
 
-    monkeypatch.setattr(FiniteQuotientSpec, "__post_init__", counted)
+    monkeypatch.setattr(FoldedQuotient, "__post_init__", counted)
     return built
 
 
@@ -65,11 +65,11 @@ def test_spec_stream_full_grid():
 
 def test_spec_stream_max_order_is_exact():
     keep = spec_stream(D_TABLE, SearchBudget(max_order=2048))
-    ids = {(s.index_modulus, s.exponent_modulus) for s in keep}
+    ids = {(s.I, s.m) for s in keep}
     assert (2, 2) in ids
     assert all(s.order() <= 2048 for s in keep)
     drop = spec_stream(D_TABLE, SearchBudget(max_order=2047))
-    ids = {(s.index_modulus, s.exponent_modulus) for s in drop}
+    ids = {(s.I, s.m) for s in drop}
     assert (2, 2) not in ids
     assert all(s.order() <= 2047 for s in drop)
 
@@ -262,8 +262,7 @@ def test_mckinsey_separates_central_translate():
     out = mckinsey_search(g1, g2, D_TABLE)
     assert out.verdict == "non-conjugate"
     assert out.witness_order == 2048
-    assert (out.witness_spec.index_modulus,
-            out.witness_spec.exponent_modulus) == (2, 2)
+    assert (out.witness_spec.I, out.witness_spec.m) == (2, 2)
     assert out.conjugators_tested == 1
     assert 1 <= out.quotients_tested <= 16
     assert not conjugacy_decide(g1, g2, D_TABLE).is_conjugate
