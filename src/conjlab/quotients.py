@@ -43,12 +43,12 @@ ladder also reads without building the quotient.
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order: the abelianized
 equation is solved orbit by orbit of the index shift, and the derived
-coordinates cycle by cycle of their rotation (_derived_stage), which
-leaves one small system of congruences, a row per cycle and per central
-key, solved modulo m by conjugacy.solve_congruences, which eliminates
-over Z/m without factoring m. finite_conjugate enumerates the whole
-quotient; it is the reference that the exact route is checked against
-on orders up to a few thousand.
+coordinates meet in one system of congruences (_derived_stage), with a
+row and a column per key of the rotation closure of the keys the
+equation reaches and a row per central key, solved modulo m by
+conjugacy.solve_congruences, which eliminates over Z/m without factoring
+m. finite_conjugate enumerates the whole quotient; it is the reference
+that the exact route is checked against on orders up to a few thousand.
 """
 
 from __future__ import annotations
@@ -471,16 +471,19 @@ def quotient_conjugate_exact(x, y, fq: FoldedQuotient) -> bool:
     For each t-power of the conjugator below gcd(s, I), s the common
     t-exponent, the abelianized twisted equation is solved orbit by
     orbit; its kernel, one generator per orbit, and the conjugator's
-    derived coordinates then meet in _derived_stage, which walks the
-    rotation cycles of the derived coordinates and solves what is left
-    modulo m with conjugacy.solve_congruences, which never factors m.
+    derived coordinates then meet in _derived_stage, one system with a
+    row and a column per key of the rotation closure, solved modulo m
+    with conjugacy.solve_congruences, which never factors m.
     """
     return x == y or _exact_route(fq, x, y) is not None
 
 
 def _exact_route(fq, x, y):
-    """(n, h0, the solved _derived_stage) for the first t-power n under
-    which x and y are conjugate, or None."""
+    """(n, h0, (generators, delta columns, solution)) for the first
+    t-power n under which x and y are conjugate, or None: the conjugator
+    is t^n h0 kappa delta, h0 the particular abelian solution, and
+    _derived_stage's solution holds kappa's generator powers and delta's
+    coordinate at each closure key."""
     if x[3] != y[3]:
         return None
     I, m = fq.I, fq.m
@@ -520,38 +523,44 @@ def _minus(fq, y, x):
 
 def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     """Match the derived coordinates of mid to y by a rotation-invariant
-    abelian conjugator kappa plus a derived conjugator part delta.
+    abelian conjugator kappa plus a derived conjugator part delta, as one
+    system of congruences.
 
     kappa is a product of powers of one generator per index orbit, the
     ascending product of that orbit's a's or b's. Per unit power such a
     generator adds its commutator with mid's abelianization plus the
     central cost of rotating the generator itself (a kappa column).
-    delta adds rotate(delta, s) - delta. On a rotation cycle K_0 -> K_1
-    -> ... of non-central keys, where rotation carries sign e_j from K_j
-    to K_(j+1), the coordinate of K_(j+1) reads
+    delta adds rotate(delta, s) - delta: a unit of delta at a non-central
+    key K adds -1 to K's row, sign to the row of the next key of K's
+    rotation cycle, and v to the central row of a wrap (see _key_cycle).
 
-        e_j delta(K_j) - delta(K_(j+1)) + kappa terms = rhs(K_(j+1)),
+    The keys that the rhs or a kappa column reaches start the closure,
+    which takes in the whole rotation cycle of each. Every closure key
+    gets a delta column and a row modulo m, and every central key it
+    touches a row modulo its M(k). On a cycle outside the closure, delta
+    is one constant c: it costs no non-central row, and its wraps pay c
+    to central rows that cancel around the cycle, except at the
+    2-torsion c_(I/2). With h = I/2, rotating AB(j, j+h) by s wraps
+    exactly when floor((j+s)/h) is odd, and over a cycle of length
+    L = h/gcd(s, h) those floors total L s/h. So every such cycle wraps
+    onto c_(I/2) with the same parity, and one cycle's constant frees
+    that row as much as all of them do. When the rhs or a kappa column
+    reaches c_(I/2), the cycle of AB(0, h) joins the closure; a closure
+    cycle that wraps onto c_(I/2) supplies that freedom itself.
 
-    so walking the cycle from delta(K_0) = c gives every delta(K_j) in
-    closed form, one closure row when the walk returns to K_0, and one
-    free constant c. An AB key whose residues swap also pays a central
-    coordinate (see _key_cycle), which puts delta(K_j) into that central
-    row. Only cycles that some kappa column or rhs reaches are walked;
-    on any other cycle delta is one constant whose central payments
-    cancel around the cycle, except at the 2-torsion c_(I/2), whose
-    cycles are walked when that row is present. The rows left, one per
-    cycle and one per central key, over the kappa columns and the cycle
-    constants, go to conjugacy.solve_congruences modulo m, one Howell-form
-    elimination over Z/m; a central row keeps its own modulus M(k).
+    Delta columns are numbered first, cycle by cycle, and kappa columns
+    after them: the Howell elimination of conjugacy.solve_congruences,
+    which takes every row in one call, pivots on the smallest column,
+    and kappa columns first make a twisted route at I = 32 about 1.5
+    times as slow.
 
-    Returns (generators, the kappa terms per key, rhs, the cycle starts,
-    the solution), or None. Column c < len(generators) is the power of
-    generator c, given as (b family?, orbit); column len(generators) + i
-    is the constant of cycle i."""
+    Returns (generators, the delta column of each closure key, the
+    solution), or None. Column len(delta columns) + c is the power of
+    generator c, given as (b family?, orbit)."""
     I, m = fq.I, fq.m
     ma, mb = mid[0], mid[1]
     gens = []
-    at: dict = {}  # key -> [(kappa column, its coefficient at key)]
+    kappa = []  # per generator, its coefficient at each key
     for b_family, orbits in ((False, orbits_a), (True, orbits_b)):
         for orbit in orbits:
             ones = dict.fromkeys(orbit, 1)
@@ -563,72 +572,40 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
             xi_a, xi_b = ({}, ones) if b_family else (ones, {})
             fq._acc_terms(col, commutator_bilinear(ma, mb, xi_a, xi_b).items())
             if col:
-                for key, v in col.items():
-                    at.setdefault(key, []).append((len(gens), v))
                 gens.append((b_family, orbit))
+                kappa.append(col)
 
     rhs = fq._acc_terms(dict(y[2]), ((key, -v) for key, v in mid[2].items()))
-
-    central = {}  # central key -> [its row's coefficients, its rhs]
-    starts = []
-    for key in set(rhs).union(at):
-        if key[0] == "C":
-            central[key] = [dict(at.get(key, ())), rhs.get(key, 0)]
-        else:
-            starts.append(key)
-    starts.sort()
-    rows = []
-    cycles = []
-    seen: set = set()
-    base = len(gens)
-    for start in _cycle_starts(starts, central, I):
-        if start in seen:
+    seeds = set(rhs).union(*kappa)
+    starts = sorted(key for key in seeds if key[0] != "C")
+    if I % 2 == 0 and ("C", I // 2) in seeds:
+        starts.append(("AB", 0, I // 2))
+    rows: dict = {}  # key -> its row's coefficients
+    delta: dict = {}  # closure key -> its delta column
+    for start in starts:
+        if start in delta:
             continue
-        col = base + len(cycles)
-        cycles.append(start)
-        # u = sign_j delta(K_j) = c + lin . kappa + const, where sign_j is
-        # the product of the signs before K_j. Only AB keys wrap, and an
-        # AB cycle keeps sign_j = 1, so a wrap at K_j pays v u.
-        lin: dict = {}
-        const = 0
-        sign_j = 1
-        for key, sign, wrap in _key_cycle(fq, start, s):
-            seen.add(key)
-            if key != start:
-                for c, v in at.get(key, ()):
-                    lin[c] = lin.get(c, 0) + sign_j * v
-                const -= sign_j * rhs.get(key, 0)
+        cycle = list(_key_cycle(fq, start, s))
+        for (key, sign, wrap), (nxt, _, _) in zip(cycle,
+                                                  cycle[1:] + cycle[:1]):
+            col = delta[key] = len(delta)
+            row = rows.setdefault(key, {})
+            row[col] = row.get(col, 0) - 1
+            row = rows.setdefault(nxt, {})
+            row[col] = row.get(col, 0) + sign
             if wrap:
                 ck, v = wrap
-                row = central.setdefault(ck, [{}, 0])
-                coeffs = row[0]
-                coeffs[col] = coeffs.get(col, 0) + v
-                for c, w in lin.items():
-                    coeffs[c] = coeffs.get(c, 0) + v * w
-                row[1] -= v * const
-            sign_j *= sign
-        for c, v in at.get(start, ()):
-            lin[c] = lin.get(c, 0) + sign_j * v
-        const -= sign_j * rhs.get(start, 0)
-        # back at K_0, sign_L u = c: (1 - sign_L) c + lin . kappa = -const
-        if sign_j < 0:
-            lin[col] = 2
-        rows.append((lin, -const, m))
+                rows.setdefault(ck, {})[col] = v
+    for c, col in enumerate(kappa, len(delta)):
+        for key, v in col.items():
+            rows.setdefault(key, {})[c] = v
+    for key in rhs:
+        rows.setdefault(key, {})
     c_moduli = fq.c_moduli
-    rows.extend((coeffs, b, c_moduli[ck[1] - 1])
-                for ck, (coeffs, b) in central.items())
-    sol = solve_congruences(rows, m)
+    sol = solve_congruences(
+        [(coeffs, rhs.get(key, 0),
+          c_moduli[key[1] - 1] if key[0] == "C" else m)
+         for key, coeffs in rows.items()], m)
     if sol is None:
         return None
-    return gens, at, rhs, cycles, sol
-
-
-def _cycle_starts(starts, central, I):
-    """The keys whose cycles _derived_stage walks: starts, then, once the
-    walk of their cycles has put the 2-torsion c_(I/2) into a row, one
-    key of each cycle of [a_i, b_(i+I/2)], every wrap of which pays
-    c_(I/2)."""
-    yield from starts
-    if I % 2 == 0 and ("C", I // 2) in central:
-        for i in range(I // 2):
-            yield "AB", i, i + I // 2
+    return gens, delta, sol

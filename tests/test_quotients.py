@@ -138,6 +138,22 @@ def test_orbit_cycle_walk_matches_search(d_spec):
                         assert fq.rotate(({}, {}, {k: 1}, 0), s)[2] == want
 
 
+def test_two_torsion_cycles_wrap_with_one_parity():
+    # every cycle of AB(i, i + h), h = I/2, has length h/gcd(s, h) and
+    # wraps onto c_h a number of times of parity L s/h, whatever i; so
+    # one such cycle frees the 2-torsion row as much as all of them
+    for I in range(2, 65, 2):
+        h = I // 2
+        fq = FoldedQuotient(I, 2, (2,) * h)
+        for s in range(1, I):
+            for i in range(h):
+                cycle = list(_key_cycle(fq, ("AB", i, i + h), s))
+                L = len(cycle)
+                assert L == h // math.gcd(s, h), (I, s, i)
+                wraps = sum(1 for _, _, w in cycle if w and w[0] == ("C", h))
+                assert wraps % 2 == L * s // h % 2, (I, s, i)
+
+
 # --------------------------------------------------------- central moduli
 
 def test_required_c_modulus_frozen_table():
@@ -697,6 +713,19 @@ def test_exact_handles_huge_quotients():
         assert fq.conj(x, quotient_conjugator(x, y, fq)) == y
     with pytest.raises(ValueError):
         finite_conjugate(fq.identity(), fq.identity(), fq)
+    # twisted pairs whose rotation closure covers every derived key, and
+    # the McKinsey witnesses that separate two such pairs
+    for I, m, central in ((32, 1021, "c[8]"), (48, 8191, "c[16]")):
+        fq = make_spec(I, m, D_TABLE)
+        x = fq.image(parse_word("T b[2] a"))
+        for _ in range(2):
+            g = fq.image(letters_to_g(random_letters(rng, max_len=5)))
+            y = fq.conj(x, g)
+            assert quotient_conjugate_exact(x, y, fq)
+            assert fq.conj(x, quotient_conjugator(x, y, fq)) == y
+        y = fq.image(parse_word(f"T b[2] a {central}"))
+        assert not quotient_conjugate_exact(x, y, fq), (fq, central)
+        assert quotient_conjugator(x, y, fq) is None
 
 
 def test_separating_witness_in_q22():
@@ -724,10 +753,11 @@ AGREEMENT_MS = (2, 3, 4, 6, 9, 31)
 
 @pytest.mark.parametrize("d_spec", D_SPECS)
 def test_exact_route_agrees_with_full_system(d_spec):
-    # the cycle walk solved mod m and hnf_solve on the full system with
-    # slack columns agree on solvability, for conjugates and for central,
-    # derived and abelian translates of them, at s in {0, +-1, +-2, I/2};
-    # every conjugator the route returns conjugates x to y. The full
+    # the route's congruences solved mod m and hnf_solve on the full
+    # system with slack columns agree on solvability, for conjugates and
+    # for central, derived and abelian translates of them, at s in
+    # {0, +-1, +-2, I/2}; every conjugator the route returns conjugates
+    # x to y. The full
     # system takes about 0.1 s a decision at I = 12 and 0.25 s at I = 16,
     # so there the five d share out the shifts.
     d = load_d(d_spec)
