@@ -43,12 +43,12 @@ ladder also reads without building the quotient.
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order: the abelianized
 equation is solved orbit by orbit of the index shift, and the derived
-coordinates meet in one system of congruences (_derived_stage), with a
-row and a column per key of the rotation closure of the keys the
-equation reaches and a row per central key, solved modulo m by
-conjugacy.solve_congruences, which eliminates over Z/m without factoring
-m. finite_conjugate enumerates the whole quotient; it is the reference
-that the exact route is checked against on orders up to a few thousand.
+coordinates cycle by cycle of their rotation (_derived_stage), which
+leaves one small system of congruences, a row per cycle and per central
+key, solved modulo m by conjugacy.solve_congruences, which eliminates
+over Z/m without factoring m. finite_conjugate enumerates the whole
+quotient; it is the reference that the exact route is checked against
+on orders up to a few thousand.
 """
 
 from __future__ import annotations
@@ -471,19 +471,16 @@ def quotient_conjugate_exact(x, y, fq: FoldedQuotient) -> bool:
     For each t-power of the conjugator below gcd(s, I), s the common
     t-exponent, the abelianized twisted equation is solved orbit by
     orbit; its kernel, one generator per orbit, and the conjugator's
-    derived coordinates then meet in _derived_stage, one system with a
-    row and a column per key of the rotation closure, solved modulo m
-    with conjugacy.solve_congruences, which never factors m.
+    derived coordinates then meet in _derived_stage, which walks the
+    rotation cycles of the derived coordinates and solves what is left
+    modulo m with conjugacy.solve_congruences, which never factors m.
     """
     return x == y or _exact_route(fq, x, y) is not None
 
 
 def _exact_route(fq, x, y):
-    """(n, h0, (generators, delta columns, solution)) for the first
-    t-power n under which x and y are conjugate, or None: the conjugator
-    is t^n h0 kappa delta, h0 the particular abelian solution, and
-    _derived_stage's solution holds kappa's generator powers and delta's
-    coordinate at each closure key."""
+    """(n, h0, the solved _derived_stage) for the first t-power n under
+    which x and y are conjugate, or None."""
     if x[3] != y[3]:
         return None
     I, m = fq.I, fq.m
@@ -523,44 +520,50 @@ def _minus(fq, y, x):
 
 def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     """Match the derived coordinates of mid to y by a rotation-invariant
-    abelian conjugator kappa plus a derived conjugator part delta, as one
-    system of congruences.
+    abelian conjugator kappa plus a derived conjugator part delta.
 
     kappa is a product of powers of one generator per index orbit, the
     ascending product of that orbit's a's or b's. Per unit power such a
     generator adds its commutator with mid's abelianization plus the
     central cost of rotating the generator itself (a kappa column).
-    delta adds rotate(delta, s) - delta: a unit of delta at a non-central
-    key K adds -1 to K's row, sign to the row of the next key of K's
-    rotation cycle, and v to the central row of a wrap (see _key_cycle).
+    delta adds rotate(delta, s) - delta. Where rotation carries a
+    non-central key K to sign e times the next key K' of its cycle, the
+    row of K' reads
+
+        e delta(K) - delta(K') + kappa terms = rhs(K'),
+
+    and a wrap at K (see _key_cycle) adds v delta(K) to a central row.
 
     The keys that the rhs or a kappa column reaches start the closure,
-    which takes in the whole rotation cycle of each. Every closure key
-    gets a delta column and a row modulo m, and every central key it
-    touches a row modulo its M(k). On a cycle outside the closure, delta
-    is one constant c: it costs no non-central row, and its wraps pay c
-    to central rows that cancel around the cycle, except at the
-    2-torsion c_(I/2). With h = I/2, rotating AB(j, j+h) by s wraps
-    exactly when floor((j+s)/h) is odd, and over a cycle of length
-    L = h/gcd(s, h) those floors total L s/h. So every such cycle wraps
-    onto c_(I/2) with the same parity, and one cycle's constant frees
-    that row as much as all of them do. When the rhs or a kappa column
-    reaches c_(I/2), the cycle of AB(0, h) joins the closure; a closure
-    cycle that wraps onto c_(I/2) supplies that freedom itself.
+    which takes in the whole rotation cycle of each. Walking a cycle
+    solves its rows for delta: delta at the first key is a free column,
+    and each later key's row gives delta there as an affine form in the
+    columns, which pays the wraps into the central rows. The first key's
+    row, met again at the end, closes the cycle. The closing rows modulo
+    m and the central rows modulo their M(k) go to
+    conjugacy.solve_congruences in one call.
 
-    Delta columns are numbered first, cycle by cycle, and kappa columns
-    after them: the Howell elimination of conjugacy.solve_congruences,
-    which takes every row in one call, pivots on the smallest column,
-    and kappa columns first make a twisted route at I = 32 about 1.5
-    times as slow.
+    On a cycle outside the closure, delta is one constant c: its rows
+    hold, and its wraps pay c to central rows that cancel around the
+    cycle, except at the 2-torsion c_(I/2). With h = I/2, rotating
+    AB(j, j+h) by s wraps exactly when floor((j+s)/h) is odd, and over
+    a cycle of length L = h/gcd(s, h) those floors total L s/h. So every
+    such cycle wraps onto c_(I/2) with the same parity, and one cycle's
+    constant frees that row as much as all of them do. When the rhs or a
+    kappa column reaches c_(I/2), the cycle of AB(0, h) joins the
+    closure; a closure cycle that wraps onto c_(I/2) supplies that
+    freedom itself.
 
-    Returns (generators, the delta column of each closure key, the
-    solution), or None. Column len(delta columns) + c is the power of
-    generator c, given as (b family?, orbit)."""
+    Returns (generators, the rows, the cycle starts, the solution), or
+    None. rows maps a key to [kappa coefficients, rhs], delta aside; the
+    central rows come back with the wraps paid in. Column c <
+    len(generators) is the power of generator c, given as (b family?,
+    orbit); column len(generators) + i is delta at the first key of
+    cycle i."""
     I, m = fq.I, fq.m
     ma, mb = mid[0], mid[1]
     gens = []
-    kappa = []  # per generator, its coefficient at each key
+    rows: dict = {}  # key -> [kappa coefficients, rhs]
     for b_family, orbits in ((False, orbits_a), (True, orbits_b)):
         for orbit in orbits:
             ones = dict.fromkeys(orbit, 1)
@@ -572,40 +575,55 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
             xi_a, xi_b = ({}, ones) if b_family else (ones, {})
             fq._acc_terms(col, commutator_bilinear(ma, mb, xi_a, xi_b).items())
             if col:
+                for key, v in col.items():
+                    rows.setdefault(key, [{}, 0])[0][len(gens)] = v
                 gens.append((b_family, orbit))
-                kappa.append(col)
+    for key, v in fq._acc_terms(
+            dict(y[2]), ((key, -v) for key, v in mid[2].items())).items():
+        rows.setdefault(key, [{}, 0])[1] = v
 
-    rhs = fq._acc_terms(dict(y[2]), ((key, -v) for key, v in mid[2].items()))
-    seeds = set(rhs).union(*kappa)
-    starts = sorted(key for key in seeds if key[0] != "C")
-    if I % 2 == 0 and ("C", I // 2) in seeds:
+    starts = sorted(key for key in rows if key[0] != "C")
+    if I % 2 == 0 and ("C", I // 2) in rows:
         starts.append(("AB", 0, I // 2))
-    rows: dict = {}  # key -> its row's coefficients
-    delta: dict = {}  # closure key -> its delta column
+    cycles = []
+    closing = []
+    seen: set = set()
     for start in starts:
-        if start in delta:
+        if start in seen:
             continue
-        cycle = list(_key_cycle(fq, start, s))
-        for (key, sign, wrap), (nxt, _, _) in zip(cycle,
-                                                  cycle[1:] + cycle[:1]):
-            col = delta[key] = len(delta)
-            row = rows.setdefault(key, {})
-            row[col] = row.get(col, 0) - 1
-            row = rows.setdefault(nxt, {})
-            row[col] = row.get(col, 0) + sign
+        x = len(gens) + len(cycles)
+        cycles.append(start)
+        form, const = {x: 1}, 0  # delta at the current key
+        for key, sign, wrap in _key_cycle(fq, start, s):
+            seen.add(key)
+            if key != start and key in rows:
+                const = _add_row(form, const, rows[key])
             if wrap:
                 ck, v = wrap
-                rows.setdefault(ck, {})[col] = v
-    for c, col in enumerate(kappa, len(delta)):
-        for key, v in col.items():
-            rows.setdefault(key, {})[c] = v
-    for key in rhs:
-        rows.setdefault(key, {})
+                row = rows.setdefault(ck, [{}, 0])
+                for c, w in form.items():
+                    row[0][c] = row[0].get(c, 0) + v * w
+                row[1] -= v * const
+            if sign < 0:
+                for c in form:
+                    form[c] = -form[c]
+                const = -const
+        if start in rows:
+            const = _add_row(form, const, rows[start])
+        form[x] -= 1
+        closing.append((form, -const, m))
     c_moduli = fq.c_moduli
-    sol = solve_congruences(
-        [(coeffs, rhs.get(key, 0),
-          c_moduli[key[1] - 1] if key[0] == "C" else m)
-         for key, coeffs in rows.items()], m)
+    sol = solve_congruences(closing + [
+        (coeffs, b, c_moduli[key[1] - 1])
+        for key, (coeffs, b) in rows.items() if key[0] == "C"], m)
     if sol is None:
         return None
-    return gens, delta, sol
+    return gens, rows, cycles, sol
+
+
+def _add_row(form, const, row):
+    """Add row = [kappa coefficients, rhs] to delta's affine form: the
+    coefficients into form, in place, and -rhs to const, returned."""
+    for c, w in row[0].items():
+        form[c] = form.get(c, 0) + w
+    return const - row[1]

@@ -12,13 +12,14 @@ C * d(n)**2 steps, where C is DEFAULT_BUDGET_FACTOR (64). at_least must
 never compute d(n) when m is small; triviality tests for central
 coordinates rely on that to stay cheap when d is astronomically large.
 
-Step counters are created per invocation and never shared; the one
-memoized implementation only ever appends finished values to its cache.
-Nothing in conjlab runs threads, and the caches take no lock.
+Step counters are created per invocation and never shared, so concurrent
+queries are safe; the one memoized implementation guards its cache with a
+lock and only ever appends finished values.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 from .machine import Program, StepLimitExceeded, load_program
@@ -163,6 +164,7 @@ class _FastMajorant(SeparabilityFunction):
     def __init__(self, program: Program, descriptor: str):
         self.program = program
         self.descriptor = descriptor
+        self._lock = threading.Lock()
         self._d1 = []
         self._mono = []
         self._steps = []          # cumulative interpreter steps
@@ -173,26 +175,29 @@ class _FastMajorant(SeparabilityFunction):
         return self.program.run(n)
 
     def _extend(self, n: int, counter: StepCounter) -> int:
-        while len(self._d1) <= n:
-            k = len(self._d1)
-            local = StepCounter()
-            out = self.program.run(k, local)
-            counter.count += local.count
-            total = (self._steps[-1] if self._steps else 0) + local.count
-            mono = max(self._mono[-1] if self._mono else 0, out)
-            self._steps.append(total)
-            self._mono.append(mono)
-            self._d1.append(mono + total)
-        return self._d1[n]
+        with self._lock:
+            while len(self._d1) <= n:
+                k = len(self._d1)
+                local = StepCounter()
+                out = self.program.run(k, local)
+                counter.count += local.count
+                total = (self._steps[-1] if self._steps else 0) + local.count
+                mono = max(self._mono[-1] if self._mono else 0, out)
+                self._steps.append(total)
+                self._mono.append(mono)
+                self._d1.append(mono + total)
+            return self._d1[n]
 
     def value_with_steps(self, n):
         _check_index(n)
         counter = StepCounter()
         d1 = self._extend(n, counter)
-        cached = self._primes.get(d1)
+        with self._lock:
+            cached = self._primes.get(d1)
         if cached is None:
             cached = _probe_next_prime_after(d1, counter)
-            self._primes[d1] = cached
+            with self._lock:
+                self._primes[d1] = cached
         return cached, counter.count
 
     def at_least_with_steps(self, n, m):
@@ -200,7 +205,9 @@ class _FastMajorant(SeparabilityFunction):
         if m <= 2:
             return True, 0
         counter = StepCounter()
-        if len(self._d1) > n:
+        with self._lock:
+            have = len(self._d1) > n
+        if have:
             counter.count += 1
             d1 = self._d1[n]
             if d1 >= m - 1:

@@ -32,8 +32,8 @@ from conjlab.conjugacy import REASON_CENTRAL, ConjugacyCertificate, \
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
 from conjlab.nilpotent import DElement, _mul_correction, _surviving_c, \
     d_element, d_equal, d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
-from conjlab.quotients import FoldedQuotient, _exact_route, _minus, \
-    _orbit_chain_solve, c_bounds, c_fold, c_moduli_from_bounds, \
+from conjlab.quotients import FoldedQuotient, _exact_route, _key_cycle, \
+    _minus, _orbit_chain_solve, c_bounds, c_fold, c_moduli_from_bounds, \
     quotient_conjugate_exact, quotient_order
 from conjlab.search import I_LADDER, _CANCELS, _CHUNK, _LETTERS, _STEPS, \
     McKinseyOutcome, spec_stream
@@ -552,27 +552,41 @@ def folded_power(fq, x, n):
 
 
 def quotient_conjugator(x, y, fq):
-    """A conjugator g with conj(x, g) == y in the quotient, read off the
-    solved quotients._exact_route, or None when
+    """A conjugator g with conj(x, g) == y in the quotient, rebuilt from
+    the solved quotients._exact_route, or None when
     quotient_conjugate_exact(x, y, fq) is False: g = t^n h0 kappa delta,
     a t-power, the particular abelian solution, powers of the orbit
-    generators, and the derived coordinate of each closure key's delta
-    column."""
+    generators, and derived coordinates walked along their cycles."""
     if x == y:
         return fq.identity()
     found = _exact_route(fq, x, y)
     if found is None:
         return None
-    n, h0, (gens, delta, sol) = found
+    n, h0, (gens, rows, cycles, sol) = found
     g = fq.mul(fq.from_parts(t=n), h0)
-    for c, (b_family, orbit) in enumerate(gens, len(delta)):
+    for c, (b_family, orbit) in enumerate(gens):
         v = sol.get(c)
         if v:
             ones = dict.fromkeys(orbit, 1)
             gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
             g = fq.mul(g, folded_power(fq, gen, v))
-    derived = {key: sol[c] for key, c in delta.items() if c in sol}
-    return fq.mul(g, fq.from_parts(derived=derived))
+    delta: dict = {}
+    base = len(gens)
+    for idx, start in enumerate(cycles):
+        # delta at the next key is sign * delta here plus that key's
+        # kappa terms minus its right-hand side
+        d = sol.get(base + idx, 0)
+        carry = 0
+        for key, sign, _ in _key_cycle(fq, start, x[3]):
+            if key != start:
+                coeffs, rhs = rows.get(key, ({}, 0))
+                d = (carry - rhs
+                     + sum(w * sol.get(c, 0) for c, w in coeffs.items())) \
+                    % fq.m
+            if d:
+                delta[key] = d
+            carry = sign * d
+    return fq.mul(g, fq.from_parts(derived=delta))
 
 
 # ------------------------------------------------------- congruence merge

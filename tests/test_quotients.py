@@ -753,11 +753,10 @@ AGREEMENT_MS = (2, 3, 4, 6, 9, 31)
 
 @pytest.mark.parametrize("d_spec", D_SPECS)
 def test_exact_route_agrees_with_full_system(d_spec):
-    # the route's congruences solved mod m and hnf_solve on the full
-    # system with slack columns agree on solvability, for conjugates and
-    # for central, derived and abelian translates of them, at s in
-    # {0, +-1, +-2, I/2}; every conjugator the route returns conjugates
-    # x to y. The full
+    # the cycle walk solved mod m and hnf_solve on the full system with
+    # slack columns agree on solvability, for conjugates and for central,
+    # derived and abelian translates of them, at s in {0, +-1, +-2, I/2};
+    # every conjugator the route returns conjugates x to y. The full
     # system takes about 0.1 s a decision at I = 12 and 0.25 s at I = 16,
     # so there the five d share out the shifts.
     d = load_d(d_spec)
