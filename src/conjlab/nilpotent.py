@@ -26,8 +26,7 @@ word into, one letter at a time, d_letter_conj (conjugation by one
 generator letter, for the word walk of the search module) a copy of its
 argument's, and d_twisted_conj (h^-1 x shift^n(h), for extension.g_conj
 and the twisted stage of the conjugacy decision) a copy of x's;
-_mul_correction wraps it for the folded quotients and
-commutator_bilinear.
+_mul_correction wraps it for commutator_bilinear.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction: every operation returns a fresh element, or an operand

@@ -31,14 +31,16 @@ to exponents mod m, and each central key ("C", k) with k in 1..I//2 and
 M(k) > 1 to its exponent mod M(k). t is the t-exponent mod I. The dicts
 hold only nonzero, reduced coordinates, so equal elements compare equal
 and no operation pays for the O(I^2) full layout. One fold on D's
-collection kernel, FoldedQuotient._fold, builds every element: image,
-rotate and from_parts call it, and mul and inv rotate through it.
-image_is_trivial settles an element before it from its t-exponent, or
-from the folded C exponents when it is central (kills).
-Elements are values: no operation mutates its arguments, and a caller
-that needs a hashable key freezes the dicts itself. A quotient's order
-is the closed formula quotient_order(I, m, moduli), which the search
-ladder also reads without building the quotient.
+collection kernel, FoldedQuotient._fold, builds every element. An
+element's coordinates are also D's for a preimage in G (_lift), and
+image is a homomorphism, so mul, inv and conj fold G's product, inverse
+and conjugate of the lifts. image_is_trivial settles an element before
+it from its t-exponent, or from the folded C exponents when it is
+central (kills). Elements are values: no operation mutates its
+arguments, and a caller that needs a hashable key freezes the dicts
+itself. A quotient's order is the closed formula quotient_order(I, m,
+moduli), which the search ladder also reads without building the
+quotient.
 
 Conjugacy inside a quotient is decided by quotient_conjugate_exact, in
 time polynomial in I rather than in the group order: the abelianized
@@ -58,9 +60,8 @@ from dataclasses import dataclass
 from itertools import product, repeat
 
 from .conjugacy import commutator_bilinear, solve_congruences
-from .extension import GElement
-from .nilpotent import _collect, _mul_correction, aa_terms, ab_terms, \
-    bb_terms
+from .extension import GElement, g_conj, g_inv, g_mul
+from .nilpotent import DElement, _collect, aa_terms, ab_terms, bb_terms
 
 _ENUMERATION_CAP = 4096  # largest order finite_conjugate enumerates
 
@@ -78,9 +79,9 @@ class FoldedQuotient:
     moduli under which the folded coordinates form no group, so every
     instance is a group; a central index of modulus 1 never appears in
     an element. Instances are values: equal (I, m, c_moduli) compare and
-    hash equal. _fold is the one fold onto the element form: image,
-    rotate and from_parts are calls of it, and mul and inv rotate through
-    it before they combine folded coordinates.
+    hash equal. _fold is the one fold onto the element form: image and
+    rotate are calls of it, and mul, inv and conj fold G's product,
+    inverse and conjugate of the lifts (_lift).
     """
 
     I: int
@@ -182,51 +183,30 @@ class FoldedQuotient:
                 raw[fkey] = get(fkey, 0) + fv
         return fa, fb, self._acc_terms({}, raw.items()), t % I
 
-    def _smul(self, x, y):
-        xa, xb, xd, xt = x
-        ra, rb, rd, yt = self._fold(*y, xt) if xt else y
-        m = self.m
-        a = dict(xa)
-        for i, v in ra.items():
-            self._acc_exp(a, i, v, m)
-        b = dict(xb)
-        for i, v in rb.items():
-            self._acc_exp(b, i, v, m)
-        der = self._acc_terms(dict(xd), rd.items())
-        self._acc_terms(der, _mul_correction(xa, xb, ra, rb).items())
-        return a, b, der, (xt + yt) % self.I
-
-    def _sinv(self, x):
-        xa, xb, xd, xt = x
-        # as in d_inv: -corr(x, x^-1) = corr(x, x) by bilinearity
-        der = {key: -v for key, v in xd.items()}
-        _collect(der, xa, xb, xa, xb)
-        return self._fold({i: -v for i, v in xa.items()},
-                          {i: -v for i, v in xb.items()}, der, -xt, -xt)
-
-    def _simage(self, g: GElement):
+    def _image(self, g: GElement):
         h = g.d_part
         return self._fold(h.a_part, h.b_part, h.derived, g.t_exp)
 
-    # The helpers above call one another, never these public names, so a
-    # wrapper around a public method counts only calls made through it.
-    mul = _smul
-    inv = _sinv
-    image = _simage
+    # The public methods below call _image and _fold, never one another,
+    # so a wrapper around one counts only calls made through it.
+
+    def image(self, g: GElement):
+        """The image of g in the quotient, a homomorphism from G."""
+        return self._image(g)
+
+    def mul(self, x, y):
+        return self._image(g_mul(_lift(x), _lift(y)))
+
+    def inv(self, x):
+        return self._image(g_inv(_lift(x)))
+
+    def conj(self, x, g):
+        """g^-1 x g: one d_twisted_conj pass in G, then one fold."""
+        return self._image(g_conj(_lift(x), _lift(g)))
 
     def rotate(self, x, shift):
         """t^shift x t^-shift: the a/b indices of x move up by shift."""
         return self._fold(*x, shift) if shift % self.I else x
-
-    def identity(self):
-        return {}, {}, {}, 0
-
-    def from_parts(self, a=None, b=None, derived=None, t=0):
-        """Element from coordinate dicts, folded as by image."""
-        return self._fold(a or {}, b or {}, derived or {}, t)
-
-    def conj(self, x, g):
-        return self.mul(self.inv(g), self.mul(x, g))
 
     def kills(self, derived) -> bool:
         """Whether the central element with the ("C", k) coordinates of
@@ -271,6 +251,12 @@ class FoldedQuotient:
                     if v:
                         parts[part][key] = v
                 yield parts + (t,)
+
+
+def _lift(x) -> GElement:
+    """The element of G with x's own coordinates: image(_lift(x)) == x."""
+    a, b, der, t = x
+    return GElement(DElement(a, b, der), t)
 
 
 def c_fold(n: int, I: int) -> int:
@@ -404,33 +390,21 @@ def finite_conjugate(x, y, fq: FoldedQuotient) -> bool:
     return False
 
 
-def _orbit_chain_solve(delta, s, I, m):
+def _orbit_chain_solve(delta, orbits, m):
     """Particular solution h of h[(p-s) mod I] - h[p] = delta[p] (mod m),
-    as a dict of its nonzero entries, plus the orbits of p -> p - s on
-    0..I-1 as lists of residues, or None. delta is a dict over residues,
-    zero where absent."""
-    h = [None] * I
-    orbits = []
-    for start in range(I):
-        if h[start] is not None:
-            continue
-        orbit = []
-        total = 0
-        p = start
+    as a dict of its nonzero entries, or None when delta sums to nonzero
+    mod m over an orbit of p -> p - s (orbits, each walked from its
+    start). delta is a dict over residues, zero where absent."""
+    h = {}
+    for orbit in orbits:
         val = 0
-        while True:
-            orbit.append(p)
-            h[p] = val
-            step = delta.get(p, 0)
-            total += step
-            val = (val + step) % m
-            p = (p - s) % I
-            if p == start:
-                break
-        if total % m != 0:
+        for p in orbit:
+            if val:
+                h[p] = val
+            val = (val + delta.get(p, 0)) % m
+        if val:
             return None
-        orbits.append(orbit)
-    return {p: v for p, v in enumerate(h) if v}, orbits
+    return h
 
 
 def _key_cycle(fq, key, s):
@@ -485,26 +459,27 @@ def _exact_route(fq, x, y):
         return None
     I, m = fq.I, fq.m
     s = x[3]
+    r = math.gcd(s, I)
+    # the orbits of p -> p - s on 0..I-1 are the residue classes mod r
+    orbits = [[(p - k * s) % I for k in range(I // r)] for p in range(r)]
     # x centralises itself, so g and x g conjugate x alike, and their
-    # t-powers differ by s: the t-powers mod gcd(s, I) cover every class
-    for n in range(math.gcd(s, I)):
+    # t-powers differ by s: the t-powers mod r cover every class
+    for n in range(r):
         xr = fq.rotate(x, -n)
-        solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
-        if solved_a is None:
+        h0a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), orbits, m)
+        if h0a is None:
             continue
-        solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
-        if solved_b is None:
+        h0b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), orbits, m)
+        if h0b is None:
             continue
-        h0a, orbits_a = solved_a
-        h0b, orbits_b = solved_b
         if h0a or h0b:
-            h0 = fq.from_parts(a=h0a, b=h0b)
+            h0 = h0a, h0b, {}, 0
             mid = fq.conj(xr, h0)
             if mid[0] != y[0] or mid[1] != y[1]:
                 raise AssertionError("abelianized stage lost synchronization")
         else:  # the a- and b-parts already agree
-            h0, mid = fq.identity(), xr
-        stage = _derived_stage(fq, mid, y, s, orbits_a, orbits_b)
+            h0, mid = ({}, {}, {}, 0), xr
+        stage = _derived_stage(fq, mid, y, s, orbits)
         if stage is not None:
             return n, h0, stage
     return None
@@ -518,7 +493,7 @@ def _minus(fq, y, x):
     return out
 
 
-def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
+def _derived_stage(fq, mid, y, s, orbits):
     """Match the derived coordinates of mid to y by a rotation-invariant
     abelian conjugator kappa plus a derived conjugator part delta.
 
@@ -564,7 +539,7 @@ def _derived_stage(fq, mid, y, s, orbits_a, orbits_b):
     ma, mb = mid[0], mid[1]
     gens = []
     rows: dict = {}  # key -> [kappa coefficients, rhs]
-    for b_family, orbits in ((False, orbits_a), (True, orbits_b)):
+    for b_family in (False, True):
         for orbit in orbits:
             ones = dict.fromkeys(orbit, 1)
             col: dict = {}

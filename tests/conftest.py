@@ -327,10 +327,23 @@ def from_quotient_spec(fq) -> FiniteGroupTable:
     elems = list(fq.elements())
     index = {frozen(el): i for i, el in enumerate(elems)}
     table = [[index[frozen(fq.mul(x, y))] for y in elems] for x in elems]
-    alpha = index[frozen(fq.from_parts(a={0: 1}))]
-    beta = index[frozen(fq.from_parts(b={0: 1}))]
-    tau = index[frozen(fq.from_parts(t=1))]
+    alpha = index[frozen(from_parts(fq, a={0: 1}))]
+    beta = index[frozen(from_parts(fq, b={0: 1}))]
+    tau = index[frozen(from_parts(fq, t=1))]
     return FiniteGroupTable(table, alpha, beta, tau)
+
+
+# -------------------------------------------------------- folded elements
+
+def identity():
+    """The identity of every folded quotient."""
+    return {}, {}, {}, 0
+
+
+def from_parts(fq, a=None, b=None, derived=None, t=0):
+    """The image in fq of the element of G with these coordinate dicts,
+    given in D's coordinates (any indices, unreduced exponents)."""
+    return fq.image(GElement(DElement(a or {}, b or {}, derived or {}), t))
 
 
 # ------------------------------------------------------- the quotient ladder
@@ -469,21 +482,22 @@ def full_system_conjugate(x, y, fq):
     if x[3] != y[3]:
         return False
     s = x[3]
-    for n in range(math.gcd(s, I)):
+    r = math.gcd(s, I)
+    orbits = [[(p - k * s) % I for k in range(I // r)] for p in range(r)]
+    for n in range(r):
         xr = fq.rotate(x, -n)
-        solved_a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), s, I, m)
-        solved_b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), s, I, m)
-        if solved_a is None or solved_b is None:
+        h0a = _orbit_chain_solve(_minus(fq, y[0], xr[0]), orbits, m)
+        h0b = _orbit_chain_solve(_minus(fq, y[1], xr[1]), orbits, m)
+        if h0a is None or h0b is None:
             continue
-        (h0a, orbits_a), (h0b, orbits_b) = solved_a, solved_b
-        mid = fq.conj(xr, fq.from_parts(a=h0a, b=h0b))
+        mid = fq.conj(xr, from_parts(fq, a=h0a, b=h0b))
         assert mid[0] == y[0] and mid[1] == y[1]
-        if _full_system(fq, mid, y, s, orbits_a, orbits_b) is not None:
+        if _full_system(fq, mid, y, s, orbits) is not None:
             return True
     return False
 
 
-def _full_system(fq, mid, y, s, orbits_a, orbits_b):
+def _full_system(fq, mid, y, s, orbits):
     I, m = fq.I, fq.m
 
     def modulus(key):
@@ -491,11 +505,11 @@ def _full_system(fq, mid, y, s, orbits_a, orbits_b):
 
     ma, mb = mid[0], mid[1]
     kappa_cols = []
-    for family, orbits in (("a", orbits_a), ("b", orbits_b)):
+    for family in ("a", "b"):
         for orbit in orbits:
             ones = dict.fromkeys(orbit, 1)
             xi_a, xi_b = (ones, {}) if family == "a" else ({}, ones)
-            gen = fq.from_parts(a=xi_a, b=xi_b)
+            gen = from_parts(fq, a=xi_a, b=xi_b)
             wa, wb, wd, _ = fq.mul(fq.inv(gen), fq.rotate(gen, s))
             assert not (wa or wb)
             terms = commutator_bilinear(ma, mb, xi_a, xi_b).items()
@@ -558,17 +572,18 @@ def quotient_conjugator(x, y, fq):
     a t-power, the particular abelian solution, powers of the orbit
     generators, and derived coordinates walked along their cycles."""
     if x == y:
-        return fq.identity()
+        return identity()
     found = _exact_route(fq, x, y)
     if found is None:
         return None
     n, h0, (gens, rows, cycles, sol) = found
-    g = fq.mul(fq.from_parts(t=n), h0)
+    g = fq.mul(from_parts(fq, t=n), h0)
     for c, (b_family, orbit) in enumerate(gens):
         v = sol.get(c)
         if v:
             ones = dict.fromkeys(orbit, 1)
-            gen = fq.from_parts(b=ones) if b_family else fq.from_parts(a=ones)
+            gen = (from_parts(fq, b=ones) if b_family
+                   else from_parts(fq, a=ones))
             g = fq.mul(g, folded_power(fq, gen, v))
     delta: dict = {}
     base = len(gens)
@@ -586,7 +601,7 @@ def quotient_conjugator(x, y, fq):
             if d:
                 delta[key] = d
             carry = sign * d
-    return fq.mul(g, fq.from_parts(derived=delta))
+    return fq.mul(g, from_parts(fq, derived=delta))
 
 
 # ------------------------------------------------------- congruence merge

@@ -11,7 +11,7 @@ import pytest
 from conjlab.conjugacy import solve_congruences
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, g_t, \
     parse_word
-from conjlab.nilpotent import central_c, d_element
+from conjlab.nilpotent import DElement, central_c, d_element
 from conjlab.quotients import (
     FoldedQuotient,
     _key_cycle,
@@ -26,8 +26,8 @@ from conjlab.quotients import (
 from conjlab.search import SearchBudget, spec_stream
 from conjlab.sepfunc import constant_prime, from_table, nth_prime
 
-from conftest import D_SPECS, c_survives, folded_power, \
-    full_system_conjugate, letters_to_g, load_d, log2_order, \
+from conftest import D_SPECS, c_survives, folded_power, from_parts, \
+    full_system_conjugate, identity, letters_to_g, load_d, log2_order, \
     orbit_closure_search, quotient_conjugator, random_letters
 
 D_TABLE = from_table([2, 31, 127, 1021, 8191])
@@ -48,14 +48,14 @@ def frozen(el):
 
 def test_project_mod_i_frozen():
     assert FOLD4.image(g_t(7)) == FOLD4.image(g_t(-1)) == \
-        FOLD4.identity()[:3] + (3,)
+        identity()[:3] + (3,)
 
     # c_3 folds onto c_1^{-1}, c_2 stays, c_4 folds onto c_0 = 1
     assert FOLD4.image(parse_word("c[3]"))[2] == {("C", 1): 63}
     assert FOLD4.image(parse_word("c[2]"))[2] == {("C", 2): 1}
-    assert FOLD4.image(parse_word("c[4]")) == FOLD4.identity()
+    assert FOLD4.image(parse_word("c[4]")) == identity()
 
-    assert FOLD2.image(parse_word("c[1]^2")) == FOLD2.identity()
+    assert FOLD2.image(parse_word("c[1]^2")) == identity()
     assert FOLD2.image(parse_word("c[1]^3"))[2] == {("C", 1): 1}
     assert FOLD4.image(parse_word("c[1]^9"))[2] == {("C", 1): 9}
 
@@ -101,7 +101,7 @@ def test_power_matches_repeated_product():
         for _ in range(6):
             x = fq.image(letters_to_g(random_letters(rng, max_len=6,
                                                      families="abc")))
-            x = fq.mul(x, fq.from_parts(derived={
+            x = fq.mul(x, from_parts(fq, derived={
                 ("AB", 0, I - 1): rng.randrange(1, m),
                 ("C", rng.randint(1, 2 * I)): rng.randrange(1, m)}))
             assert x[2] and x[3] == 0
@@ -294,7 +294,7 @@ def test_spec_validation():
     assert fq.image(parse_word("c[1]"))[2] == {("C", 1): 1}
     assert fq.image_is_trivial(parse_word("c[1]^2"))
     fq = FoldedQuotient(4, 3, (3, 1))
-    assert fq.image(parse_word("c[2]")) == fq.identity()
+    assert fq.image(parse_word("c[2]")) == identity()
     assert fq.image(parse_word("c[1]"))[2] == {("C", 1): 1}
     fq = FoldedQuotient(2, 2, (2,))
     assert fq.image(parse_word("c[1]")) == fq.image(parse_word("c[-1]"))
@@ -378,8 +378,8 @@ def test_results_hold_only_reduced_coordinates(fq):
                         for k in rng.sample(range(-2 * I, 2 * I + 1), 4)})
         i, j = sorted(rng.sample(range(I), 2))
         derived[rng.choice(("AA", "BB")), i, j] = rng.randint(-m, m)
-        made = fq.from_parts(
-            a={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
+        made = from_parts(
+            fq, a={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
             b={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
             derived=derived, t=rng.randint(-2 * I, 2 * I))
         results = [x, y, fq.mul(x, y), fq.inv(x), fq.conj(x, y), made,
@@ -426,9 +426,53 @@ def test_c_survives_matches_image(d_spec):
 
 def test_image_from_parts_round_trip():
     fq = make_spec(2, 2, D_TABLE)
-    assert fq.image(parse_word("a[0]")) == fq.from_parts(a={0: 1})
-    assert fq.image(parse_word("t")) == fq.from_parts(t=1)
-    assert fq.image(GElement()) == fq.identity()
+    assert fq.image(parse_word("a[0]")) == from_parts(fq, a={0: 1})
+    assert fq.image(parse_word("t")) == from_parts(fq, t=1)
+    assert fq.image(GElement()) == identity()
+
+
+def assert_image_of_lift(fq, x):
+    """The lemma mul, inv and conj rest on: the element of G with x's own
+    coordinates maps back to x."""
+    a, b, der, t = x
+    assert fq.image(GElement(DElement(a, b, der), t)) == x, (fq, x)
+
+
+# I = 1 has no central index, I = 2 the 2-torsion c_1 (of modulus 1
+# under constant:3), and every d leaves some central modulus of 1
+LIFT_QUOTIENTS = ((1, 2), (2, 2), (2, 6), (3, 4), (4, 6), (6, 9),
+                  (32, 1021))
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS[:4])
+def test_image_of_lift_is_the_element(d_spec):
+    # random images of words, and of coordinates far from canonical
+    d = load_d(d_spec)
+    rng = random.Random(f"lift {d_spec}")
+    moduli = set()
+    for I, m in LIFT_QUOTIENTS:
+        fq = make_spec(I, m, d)
+        moduli.update(fq.c_moduli)
+        for _ in range(10):
+            assert_image_of_lift(fq, fq.image(letters_to_g(random_letters(
+                rng, max_len=8, idx_range=(-2 * I, 2 * I), families="abct"))))
+            pairs = [(i, j) for i in range(I) for j in range(i, I)]
+            derived = {("AB", i, j): rng.randint(-2 * m, 2 * m)
+                       for i, j in rng.sample(pairs, min(3, len(pairs)))}
+            derived.update({("C", k): rng.randint(-2 * m, 2 * m)
+                            for k in rng.sample(range(1, 2 * I + 1), 2)})
+            assert_image_of_lift(fq, from_parts(
+                fq, a={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
+                b={p: rng.randint(-2 * m, 2 * m) for p in range(I)},
+                derived=derived, t=rng.randint(-2 * I, 2 * I)))
+    assert 1 in moduli
+
+
+def test_image_of_lift_on_every_element_of_q22():
+    fq = make_spec(2, 2, constant_prime(3))
+    assert fq.order() == 1024
+    for x in fq.elements():
+        assert_image_of_lift(fq, x)
 
 
 def _central(*pairs):
@@ -595,7 +639,7 @@ def assert_central_fold(fq):
         for e in (1, -1, 2):
             der = {("C", n): e}
             want = central_fold_by_hand(fq, n, e)
-            assert fq.from_parts(derived=der) == ({}, {}, want, 0), \
+            assert from_parts(fq, derived=der) == ({}, {}, want, 0), \
                 (fq, n, e)
             assert fq.kills(der) == (not want), (fq, n, e)
 
@@ -712,7 +756,7 @@ def test_exact_handles_huge_quotients():
         assert quotient_conjugate_exact(x, y, fq)
         assert fq.conj(x, quotient_conjugator(x, y, fq)) == y
     with pytest.raises(ValueError):
-        finite_conjugate(fq.identity(), fq.identity(), fq)
+        finite_conjugate(identity(), identity(), fq)
     # twisted pairs whose rotation closure covers every derived key, and
     # the McKinsey witnesses that separate two such pairs
     for I, m, central in ((32, 1021, "c[8]"), (48, 8191, "c[16]")):
@@ -770,12 +814,13 @@ def test_exact_route_agrees_with_full_system(d_spec):
         for r, s in enumerate(shifts):
             m = AGREEMENT_MS[(k + r + di) % len(AGREEMENT_MS)]
             fq = make_spec(I, m, d)
-            x = fq.mul(fq.from_parts(t=s), fq.image(letters_to_g(
+            x = fq.mul(from_parts(fq, t=s), fq.image(letters_to_g(
                 random_letters(rng, max_len=4, families="abc"))))
             g = fq.image(letters_to_g(random_letters(rng, max_len=3)))
             y = fq.conj(x, g)
             others = (y, fq.mul(y, fq.image(parse_word("c[1]"))),
-                      fq.mul(y, fq.from_parts(derived={("AB", 0, I // 2): 1})),
+                      fq.mul(y, from_parts(fq,
+                                           derived={("AB", 0, I // 2): 1})),
                       fq.mul(y, fq.image(parse_word(rng.choice("ab")))))
             # past I = 6 the derived translate is left out, and the
             # abelian one costs no system
