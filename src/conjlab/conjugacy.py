@@ -93,8 +93,10 @@ def solve_congruences(rows, m):
     the column, of gcd entry, and one row without it, which goes on down.
     A new pivot row sends down its annihilator, m / gcd(pivot, m) times
     itself, which carries the condition under which the pivot's column
-    can be solved. A row left with no column must read 0 = 0, and back-
-    substitution solves each a x = r (mod m) through gcd(a, m)."""
+    can be solved; a new pivot that is a unit modulo m is scaled to 1
+    instead, so it divides every entry it meets and keeps its column. A
+    row left with no column must read 0 = 0, and back-substitution
+    solves each a x = r (mod m) through gcd(a, m)."""
     work = [({c: w for c, v in coeffs.items()
               if (w := v * (m // mod) % m)}, rhs * (m // mod) % m)
             for coeffs, rhs, mod in rows]
@@ -108,8 +110,14 @@ def solve_congruences(rows, m):
         c = min(row[0])
         pivot = pivots.get(c)
         if pivot is None:
+            p = row[0][c]
+            g = gcd(p, m)
+            if g == 1 and p != 1:  # a unit pivot is stored as 1
+                u = pow(p, -1, m)
+                row = {cc: v * u % m for cc, v in row[0].items()}, \
+                    row[1] * u % m
             pivots[c] = row
-            f = m // gcd(row[0][c], m)
+            f = m // g
             if f < m:
                 work.append(_combine(f, row, 0, ({}, 0), m))
             continue

@@ -35,17 +35,19 @@ the walk's result and counts those of the plain enumeration:
   final shift lies that close, and a phase with no final shift in
   -L..L fails at once (_shift_window).
 
-The quotient ladder of each d is sorted once as flat keys: a grid
-position and the float log2 order of every Q(I, m), with the
-c_bounds(I, d) of each I, about 145 KB in all. Each I's row of keys is
-one pass over a log2 table of the moduli m, and only the few m that
-share a prime with a bound are recomputed. A budget cuts the walk to a
-span read off the sorted keys by bisection (_Ladder.span). A spec is
-built only when a walk reaches it, and then kept as long as d. The
-search builds the specs it tests; the witnesses of growth_table rank
-the quotients in which c_{2^i} survives, read off the bounds, and walk
-no position, so neither builds the whole ladder; spec_stream builds
-every spec it returns.
+The quotient ladder of each d is a grid of Q(I, m) with the
+c_bounds(I, d) of each I, walked in the order of the float log2 orders
+of its quotients. The walk is sorted on first use as flat keys, a grid
+position and a key for each of its 12,936 cells, about 145 KB: each I's
+row of keys is one pass over a log2 table of the moduli m, and only the
+few m that share a prime with a bound are recomputed. A budget cuts the
+walk to a span read off the sorted keys by bisection (_Ladder.span). A
+spec is built only when a walk reaches it, and then kept as long as d.
+The search builds the specs it tests and spec_stream every spec it
+returns, so both sort the walk. The witnesses of growth_table rank the
+quotients in which c_{2^i} survives by key, read off the bounds: under a
+budget that spans the whole ladder the first of them is the witness, so
+a fresh d keeps its bounds and computes a few keys, and sorts nothing.
 
 The quotient walk prunes hard, and each pruning keeps the walk's result
 and counts those of the plain enumeration, which runs the exact route on
@@ -75,8 +77,9 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, filterfalse, islice, repeat
-from math import gcd, log2
+from functools import cached_property
+from itertools import compress, filterfalse, islice
+from math import gcd, log2, prod
 from typing import Optional
 
 from .conjugacy import central_defect, conjugacy_decide
@@ -143,9 +146,11 @@ def _prime_powers(primes, cap: int):
 
 
 _M_CAP = 8192  # the largest exponent modulus on the ladder
-_PRIMES = frozenset(_primes(_M_CAP))
+_PRIMES = tuple(_primes(_M_CAP))
+_PRIMORIAL = prod(_PRIMES)
 _MS = tuple(_prime_powers(_PRIMES, _M_CAP))
 _LOG2_MS = tuple(map(log2, _MS))
+_GRID = len(I_LADDER) * len(_MS)
 
 
 class _Ladder:
@@ -158,9 +163,14 @@ class _Ladder:
     its key keys[j]. Grid positions ascend with (I, m), so a stable sort
     by key walks in (key, I, m) order. specs is the prefix of the walk
     built so far: a quotient is built when a walk first reaches it and
-    is kept as long as the ladder. The ladder keeps pos, keys and bounds,
-    about 145 KB, and no key in grid order: key(g) recomputes one when it
-    is asked for.
+    is kept as long as the ladder.
+
+    A fresh ladder holds bounds and the primes of each bound it was asked
+    about, nothing per grid cell. pos and keys, about 145 KB, are sorted
+    on first use: a build, a position or order query, or a span under a
+    max_order. A span with no max_order reads only the grid size, so a
+    walk is sorted when it builds its first spec. No key is kept in grid
+    order: key(g) recomputes one when it is asked for.
 
     An m prime to every nonzero B(k) has M(k) = m where B(k) = 0 and M(k)
     = 1 elsewhere, so its key is log2 I + n log2 m, n the coordinates and
@@ -171,7 +181,13 @@ class _Ladder:
 
     def __init__(self, d):
         self.bounds = [c_bounds(I, d) for I in I_LADDER]
-        self._meeting = {}
+        self._primes = {}
+        self.specs = []
+
+    @cached_property
+    def pos(self):
+        """The grid position at each walk position, sorted on first use;
+        the sort also sets keys."""
         keys = []
         for I, bounds in zip(I_LADDER, self.bounds):
             row = len(keys)
@@ -179,10 +195,16 @@ class _Ladder:
             keys += [base + n * lm for lm in _LOG2_MS]
             for y in set().union(*map(self.meeting, set(bounds) - {0, 1})):
                 keys[row + y] = self.key(row + y)
-        self.pos = array("H", sorted(range(len(keys)), key=keys.__getitem__))
+        pos = array("H", sorted(range(len(keys)), key=keys.__getitem__))
         keys.sort()
         self.keys = array("d", keys)
-        self.specs = []
+        return pos
+
+    @cached_property
+    def keys(self):
+        """The key at each walk position (see pos)."""
+        self.pos  # sorts the walk and sets keys
+        return vars(self)["keys"]
 
     def _quotient(self, g):
         """I, m and the c-moduli of the quotient at grid position g."""
@@ -206,14 +228,40 @@ class _Ladder:
             j += 1
         return j
 
+    def primes(self, b):
+        """The primes p <= _M_CAP, ascending, that divide b (every one for
+        b = 0), kept per b. They divide g = gcd(b, the product of those
+        primes), which has no square factor, so trial division stops at
+        the square root of what is left of g, and what is left then is 1
+        or one more prime."""
+        ps = self._primes.get(b)
+        if ps is None:
+            if b == 0:
+                ps = _PRIMES
+            else:
+                g, ps = gcd(b, _PRIMORIAL), []
+                for p in _PRIMES:
+                    if p * p > g:
+                        break
+                    if g % p == 0:
+                        ps.append(p)
+                        g //= p
+                if g > 1:
+                    ps.append(g)
+                ps = tuple(ps)
+            self._primes[b] = ps
+        return ps
+
     def meeting(self, b):
         """The y, ascending, whose _MS[y] shares a prime with b (every y
-        for b = 0), kept per b."""
-        ys = self._meeting.get(b)
-        if ys is None:
-            ys = self._meeting[b] = tuple(compress(
-                range(len(_MS)), map((1).__ne__, map(gcd, _MS, repeat(b)))))
-        return ys
+        for b = 0): the positions of the powers of primes(b)."""
+        ys = []
+        for p in self.primes(b):
+            q = p
+            while q <= _M_CAP:
+                ys.append(bisect_left(_MS, q))
+                q *= p
+        return sorted(ys)
 
     def built(self, n):
         """specs, with the first n walk positions built."""
@@ -228,7 +276,7 @@ class _Ladder:
         exactly: a key at most log2 max_order - 1 passes unchecked, none
         past log2 max_order + 1 passes, and only the band between gets an
         exact order check. max_specs counts the positions that pass."""
-        stop = min(budget.max_specs, len(self.keys))
+        stop = min(budget.max_specs, _GRID)
         skipped = set()
         if budget.max_order is None:
             return stop, skipped
@@ -442,13 +490,15 @@ def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
     c_fold(2^i, I) and survives in Q(I, m) exactly when k != 0 and M(k) =
     gcd(m, B(k)) != 1. So B(k) = 1 keeps it in no Q(I, m), B(k) = 0 in
     every one, and otherwise it survives for the m that share a prime
-    with B(k) (_Ladder.meeting, once per distinct B). Along the powers of
+    with B(k) (_Ladder.primes, once per distinct B). Along the powers of
     one prime p the key and the exact order of Q(I, p^e) grow with e, so
     Q(I, p^e) is walked after Q(I, p) and passes the budget only when
-    Q(I, p) does: the primes p are the candidates. They are ranked by
-    key, each is placed in the walk by bisection, and the first within
-    the walk's span wins. The order is the closed form on its moduli, so
-    no position is walked and no spec is built.
+    Q(I, p) does: the primes p are the candidates, ranked by (key, I, m),
+    the walk order. When the budget spans the whole ladder the first
+    candidate wins, and the walk is never sorted; otherwise each is
+    placed in the sorted walk by bisection, and the first within the
+    span wins. The order is the closed form on its moduli, so no
+    position is walked and no spec is built.
     """
     ladder = _ladder(d)
     stop, skipped = ladder.span(budget)
@@ -456,16 +506,18 @@ def rf_witness_order(i: int, d, budget: SearchBudget = SearchBudget()):
     survivors = []  # (key, grid position) of each candidate
     for x, (I, bounds) in enumerate(zip(I_LADDER, ladder.bounds)):
         k = c_fold(2 ** i, I)
-        for y in ladder.meeting(bounds[k - 1]) if k else ():
-            if _MS[y] in _PRIMES:
-                g = x * width + y
-                survivors.append((ladder.key(g), g))
+        for p in ladder.primes(bounds[k - 1]) if k else ():
+            g = x * width + bisect_left(_MS, p)
+            survivors.append((ladder.key(g), g))
+    cut = stop < _GRID or skipped
     for key, g in sorted(survivors):  # walk order
-        j = ladder.position(g, key)
-        if j >= stop:
-            break
-        if j not in skipped:
-            return ladder.order(j)
+        if cut:  # place g in the sorted walk
+            j = ladder.position(g, key)
+            if j >= stop:
+                break
+            if j in skipped:
+                continue
+        return quotient_order(*ladder._quotient(g))
     return None
 
 
@@ -482,7 +534,9 @@ def growth_table(d, i_values, budget: SearchBudget = SearchBudget()):
     the order of the smallest streamed quotient separating it from the
     identity, and the wall time of the direct conjugacy decision on the
     pair (a_0, a_0 c_{2^i}). The witness orders come from rf_witness_order,
-    so a fresh d pays the float keys of its ladder and builds no spec."""
+    so a fresh d pays the keys of the few quotients in which c_{2^i}
+    survives: it builds no spec, and under a budget that spans the whole
+    ladder it leaves the walk unsorted."""
     rows = []
     for i in i_values:
         k = 2 ** i

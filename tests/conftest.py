@@ -19,9 +19,10 @@ packaged collection over random words is the correctness oracle for
 the whole coordinate layer.
 """
 
+import functools
 import math
 import random
-from itertools import product
+from itertools import compress, product, repeat
 from pathlib import Path
 
 import pytest
@@ -362,7 +363,9 @@ def load_d(d_spec):
     return parse_d_spec(d_spec)
 
 
+@functools.cache
 def prime_powers_up_to(cap):
+    """The prime powers up to cap, ascending, by trial division."""
     out = []
     for p in range(2, cap + 1):
         if all(p % q for q in range(2, int(p ** 0.5) + 1)):
@@ -370,7 +373,16 @@ def prime_powers_up_to(cap):
             while q <= cap:
                 out.append(q)
                 q *= p
-    return out
+    return tuple(sorted(out))
+
+
+def reference_meeting(b):
+    """The y, ascending, whose y-th prime power up to 8192 shares a prime
+    with b (every y for b = 0), by one gcd per modulus: the reference for
+    search._Ladder.meeting."""
+    ms = prime_powers_up_to(8192)
+    return list(compress(range(len(ms)),
+                         map((1).__ne__, map(math.gcd, ms, repeat(b)))))
 
 
 def log2_order(spec):

@@ -128,6 +128,32 @@ def test_solve_congruences_two_large_primes():
     assert unsolved == [None, None]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unit_pivots_keep_their_column(sign, monkeypatch):
+    # a chain of 50 links s x_j - s x_{j+1} = j modulo 1021 and a row
+    # x_0 = 5 that cascades down it: the row meets each link's pivot and
+    # leaves one row for the next. A pivot of -1, stored as 1020, does
+    # not divide the 1 it meets and would split into two rows every time
+    # (100 row operations); scaled to 1 when stored, each meeting is one
+    # row operation, whatever the sign
+    m = 1021
+    rows = [({0: 1}, 5, m)] + \
+        [({j: sign, j + 1: -sign}, j, m) for j in range(50)]
+    combines = []
+    combine = conjugacy._combine
+
+    def counted(*args):
+        combines.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(conjugacy, "_combine", counted)
+    sol = conjugacy.solve_congruences(rows, m)
+    assert len(combines) == 50
+    for coeffs, rhs, mod in rows:
+        assert (sum(v * sol.get(c, 0) for c, v in coeffs.items()) - rhs) \
+            % mod == 0
+
+
 # ---------------------------------------------------------- twisted equations
 
 def class_sums(delta: dict, step: int) -> dict:

@@ -198,22 +198,50 @@ def test_walk_counts_passing_positions_only():
             conftest.reference_walk(ladder, budget), n
 
 
+def first_survivor_orders(ladder, budget, i_values):
+    """The order of the first spec in the reference walk of ladder within
+    budget in which c_{2^i} survives, or None, for each i."""
+    walk = conftest.reference_walk(ladder, budget)
+    specs = ladder.built(walk[-1] + 1 if walk else 0)
+    out = []
+    for i in i_values:
+        first = next((specs[j] for j in walk
+                      if c_survives(specs[j], 2 ** i)), None)
+        out.append(first and first.order())
+    return out
+
+
+def witness_i_values(d_spec):
+    # nth-prime has no survivor of c_{2^i} on the ladder for i >= 5
+    return range(8 if d_spec == "nth-prime" else 5)
+
+
 @pytest.mark.parametrize("d_spec", D_SPECS)
 def test_rf_witness_order_is_first_survivor(d_spec):
     d = load_d(d_spec)
     ladder = search._ladder(d)
-    # nth-prime has no survivor of c_{2^i} on the ladder for i >= 5
-    i_values = range(8 if d_spec == "nth-prime" else 5)
+    i_values = witness_i_values(d_spec)
     for budget in WITNESS_BUDGETS + near_key_budgets(ladder):
-        walk = conftest.reference_walk(ladder, budget)
-        specs = ladder.built(walk[-1] + 1 if walk else 0)
-        for i in i_values:
-            first = next((specs[j] for j in walk
-                          if c_survives(specs[j], 2 ** i)), None)
-            assert rf_witness_order(i, d, budget) == \
-                (first and first.order()), (budget, i)
+        assert [rf_witness_order(i, d, budget) for i in i_values] == \
+            first_survivor_orders(ladder, budget, i_values), budget
     if d_spec == "nth-prime":
         assert [rf_witness_order(i, d) for i in (5, 6, 7)] == [None] * 3
+
+
+@pytest.mark.parametrize("d_spec", D_SPECS)
+def test_cold_rf_witness_order_is_first_survivor(d_spec):
+    # each budget on a fresh d, whose ladder no walk has sorted: a budget
+    # that spans the whole ladder ranks the survivors alone and leaves
+    # the ladder unsorted, and a cut budget sorts it on first use
+    reference = search._ladder(load_d(d_spec))
+    i_values = witness_i_values(d_spec)
+    whole = len(I_LADDER) * len(prime_powers_up_to(8192))
+    for budget in WITNESS_BUDGETS:
+        d = load_d(d_spec)
+        assert [rf_witness_order(i, d, budget) for i in i_values] == \
+            first_survivor_orders(reference, budget, i_values), budget
+        spans_all = budget.max_order is None and budget.max_specs >= whole
+        assert ("pos" in vars(search._ladder(d))) != spans_all, budget
 
 
 def test_ladder_walk_order_is_pinned():
@@ -590,9 +618,24 @@ def test_cold_mckinsey_builds_the_specs_it_tests(spec_builds):
     assert len(spec_builds) <= out.quotients_tested + search._CHUNK
 
 
+def test_growth_table_leaves_the_ladder_unsorted():
+    d = parse_d_spec("table:2,31,127,1021,8191")
+    rows = growth_table(d, range(5))
+    assert [r.witness_order.bit_length() for r in rows] == \
+        [12, 548, 2891, 15959, 46116]
+    assert "pos" not in vars(search._ladder(d))
+
+
+def test_meeting_matches_one_gcd_per_modulus():
+    ladder = search._Ladder(D_TABLE)
+    for b in [*range(3001), 8191 * 3, 2 ** 61 - 1, 10 ** 30 + 57]:
+        assert list(ladder.meeting(b)) == conftest.reference_meeting(b), b
+
+
 def test_cold_growth_table_memory():
-    # a fresh d pays the float keys of its ladder, not its ~13k specs;
-    # the witness walk builds no folded arithmetic
+    # a fresh d keeps its bounds and the keys of the few quotients where
+    # each c_{2^i} survives, neither the sorted walk (about 145 KB) nor
+    # its ~13k specs; the witness walk builds no folded arithmetic
     tracemalloc.start()
     try:
         rows = growth_table(parse_d_spec("table:2,31,127,1021,8191"), range(5))
@@ -601,7 +644,7 @@ def test_cold_growth_table_memory():
         tracemalloc.stop()
     assert [r.witness_order.bit_length() for r in rows] == \
         [12, 548, 2891, 15959, 46116]
-    assert peak < 4 * 2 ** 20  # 1.0 MiB measured
+    assert peak < 4 * 2 ** 20  # 37 KiB measured
 
 
 def test_growth_table_rows():
