@@ -13,7 +13,7 @@ per depth is alive. Each conjugate comes from its parent's: if
 c_w = w^-1 g1 w then c_wx = x^-1 c_w x, with no word text parsed. For
 c_w = (h, s) and a letter x of D that is x^-1 h phi_s(x), one copy of
 h's dicts and two one-letter calls of the collection kernel
-(nilpotent.d_letter_conj); a t-letter shifts h. Three exact prunings keep
+(nilpotent.d_letter_conj); a t-letter shifts h. Four exact prunings keep
 the walk's result and counts those of the plain enumeration:
 
 * a word with a cancelling pair (tT, Tt, aA, Aa, bB, Bb) equals a word
@@ -33,7 +33,13 @@ the walk's result and counts those of the plain enumeration:
   modulo X^s - 1. A prefix at net shift sigma with r letters left ends
   within r of sigma, so its subtree is counted but not built when no
   final shift lies that close, and a phase with no final shift in
-  -L..L fails at once (_shift_window).
+  -L..L fails at once (_shift_window);
+* a pair with no conjugator modulo the centre, or whose central defect
+  delta (conjugacy.central_defect) keeps a coordinate that survives
+  under d (the test conjugacy_decide applies), is not conjugate in G_d,
+  so no word of any length conjugates it: each phase L counts its 6**L
+  words and walks none. The defect is made once, before phase 0, and
+  shared by the word walk and the quotient walk.
 
 The quotient ladder of each d is a grid of Q(I, m) with the
 c_bounds(I, d) of each I, walked in the order of the float log2 orders
@@ -59,11 +65,10 @@ every spec where z = g1 * g2^-1 has a nontrivial image:
   before any conjugacy work; for a central z (the relator pairs) it
   reads the folded C exponents alone;
 * when a conjugator w modulo the centre exists, w^-1 g1 w = g2 delta
-  for the pair's central defect delta (conjugacy.central_defect), made
-  once, at the first nontrivial image of z. In every quotient where
-  delta dies (FoldedQuotient.kills) the image of w conjugates the
-  images, so that quotient cannot separate the pair and gets no
-  conjugacy work.
+  for the pair's central defect delta, the one the word walk reads. In
+  every quotient where delta dies (FoldedQuotient.kills) the image of w
+  conjugates the images, so that quotient cannot separate the pair and
+  gets no conjugacy work.
 
 Conjugacy inside any other quotient is settled by the exact coordinate
 decision, whatever the quotient's order, and a separating quotient is
@@ -84,8 +89,8 @@ from typing import Optional
 
 from .conjugacy import central_defect, conjugacy_decide
 from .extension import GElement, c_witness_word, g_inv, g_mul, word_length
-from .nilpotent import central_c, d_equal, d_letter_conj, d_mul, \
-    generator_a, phi_shift
+from .nilpotent import DElement, _surviving_c, central_c, d_equal, \
+    d_letter_conj, d_mul, generator_a, phi_shift
 from .quotients import FoldedQuotient, c_bounds, c_fold, \
     c_moduli_from_bounds, coordinate_count, quotient_conjugate_exact, \
     quotient_is_well_defined, quotient_order
@@ -121,8 +126,9 @@ class McKinseyOutcome:
     witness_order: Optional[int] = None
     quotients_tested: int = 0
     # position of the last word reached in the full product order of
-    # the phases walked, words skipped by the cancelling-pair pruning
-    # included: a hit's position, or the sum of 6**L over those phases
+    # the phases run, whether counted or walked, words skipped by the
+    # word-walk prunings included: a hit's position, or the sum of 6**L
+    # over those phases
     conjugators_tested: int = 0
 
 
@@ -431,14 +437,19 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
     first conjugating word and the first separating quotient are exact
     witnesses, whichever comes first is returned.
 
-    A tested spec where z = g1 g2^-1 has a nontrivial image goes to the
-    exact route, unless the pair's central defect dies there: then the
-    images are conjugate (see the module docstring). The defect is made
-    at the first such spec. The verdict, witnesses and both counts are
-    those of running the exact route on every such spec.
+    The pair's central defect is made once, before phase 0. When it
+    proves the pair non-conjugate in G_d, as conjugacy_decide reads it,
+    phase L counts its 6**L words without walking them. A tested spec
+    where z = g1 g2^-1 has a nontrivial image goes to the exact route,
+    unless the defect dies there: then the images are conjugate (see
+    the module docstring). The verdict, witnesses and both counts are
+    those of walking every phase and running the exact route on every
+    such spec.
     """
     z = g_mul(g1, g_inv(g2))
-    defect = None  # central_defect(g1, g2), made on first need
+    w, delta = central_defect(g1, g2)
+    conjugate = w is not None and \
+        _surviving_c(DElement({}, {}, delta), d) is None
     ladder = _ladder(d)
     walk = ladder.walk(budget)
     more_specs = True
@@ -447,7 +458,10 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
     length = 0
     while length <= budget.max_conj_len or more_specs:
         if length <= budget.max_conj_len:
-            word, reached = _word_phase(g1, g2, d, length)
+            if conjugate:
+                word, reached = _word_phase(g1, g2, d, length)
+            else:  # no word conjugates the pair
+                word, reached = None, len(_LETTERS) ** length
             words_done += reached
             if word is not None:
                 return McKinseyOutcome("conjugate", conjugator_word=word,
@@ -462,9 +476,6 @@ def mckinsey_search(g1: GElement, g2: GElement, d,
             quotients += 1
             if fq.image_is_trivial(z):  # otherwise the images differ
                 continue
-            if defect is None:
-                defect = central_defect(g1, g2)
-            w, delta = defect
             if w is not None and fq.kills(delta):  # images conjugate by w
                 continue
             x, y = fq.image(g1), fq.image(g2)

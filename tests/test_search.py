@@ -412,6 +412,25 @@ def test_word_tree_matches_reference_walk(d, monkeypatch):
     assert any(v[0][1] == "b T a" for v in outcomes.values())
 
 
+@pytest.mark.parametrize("d", [D_TABLE, constant_prime(3)],
+                         ids=["default", "constant:3"])
+def test_word_phase_matches_reference_walk(d):
+    # the search no longer walks the words of a non-conjugate pair, so
+    # the tree is checked directly on every pair, conjugate or not. A
+    # phase is only walked after every shorter one failed (its
+    # cancelling-pair pruning relies on that), so each pair stops at its
+    # first hit
+    pool = word_phase_pool(2026)
+    assert not all(conjugacy_decide(g1, g2, d).is_conjugate
+                   for g1, g2 in pool)
+    for n, (g1, g2) in enumerate(pool):
+        for length in range(4):
+            want = reference_word_phase(g1, g2, d, length)
+            assert search._word_phase(g1, g2, d, length) == want, (n, length)
+            if want[0] is not None:
+                break
+
+
 def test_word_phase_memory_is_per_depth():
     # a non-conjugate pair walks the whole phase; a breadth-first layer
     # of its 1296 words would hold hundreds of kilobytes of conjugates
@@ -583,6 +602,38 @@ def test_pruned_search_matches_unpruned_walk(d_spec, exact_routes,
         verdicts.add(out.verdict)
     assert verdicts == {"conjugate", "non-conjugate", "budget-exhausted"}
     assert len(exact_routes) < len(unpruned)
+
+
+def test_non_conjugate_pair_walks_no_word(monkeypatch):
+    # when the pair's central defect proves it non-conjugate, no word of
+    # any length conjugates it: every phase L counts 6**L words, unwalked
+    def walked(*args):
+        raise AssertionError("a non-conjugate pair walked its words")
+
+    monkeypatch.setattr(search, "_word_phase", walked)
+    budget = SearchBudget(max_specs=300)
+    relator_pairs = [(parse_word("a[0]"), parse_word(f"a[0] c[{2 ** i}]"))
+                     for i in range(3)]
+    for d_spec in D_SPECS[:4]:
+        d = load_d(d_spec)
+        pool = pruning_pool(random.Random(d_spec))
+        pairs = [(g1, g2) for kind, g1, g2 in pool
+                 if kind in ("translate", "perturbation")] + relator_pairs
+        for g1, g2 in pairs:
+            assert not conjugacy_decide(g1, g2, d).is_conjugate
+            assert mckinsey_search(g1, g2, d, budget) == \
+                unpruned_mckinsey_search(g1, g2, d, budget), (d_spec, g1, g2)
+    # radius 8 counts the 1 + 6 + ... + 6**8 = (6**9 - 1) / 5 words of
+    # phases 0..8
+    out = mckinsey_search(*relator_pairs[2], D_TABLE,
+                          SearchBudget(max_conj_len=8))
+    assert (out.verdict, out.witness_spec.name(), out.quotients_tested,
+            out.conjugators_tested) == \
+        ("non-conjugate", "Q(I=16,m=127)", 7209, 2_015_539)
+    # a conjugate pair still walks its words
+    g1 = parse_word("a b A t b T")
+    with pytest.raises(AssertionError, match="walked its words"):
+        mckinsey_search(g1, g_conj(g1, parse_word("b T a")), D_TABLE)
 
 
 # ------------------------------------------------------- witness growth
