@@ -18,7 +18,7 @@ m. The commutator equation fixes its integrality parameter with it, as
 one column modulo p^2, and the exact route inside finite quotients
 solves its systems with it. hnf_solve, which puts an integer matrix into
 column Hermite form with unimodular column operations, is the oracle
-the tests and the selftest check against; no decision calls it.
+the tests check against; no decision calls it.
 """
 
 from __future__ import annotations

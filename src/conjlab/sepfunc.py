@@ -13,8 +13,9 @@ never compute d(n) when m is small; triviality tests for central
 coordinates rely on that to stay cheap when d is astronomically large.
 
 Step counters are created per invocation and never shared, so concurrent
-queries are safe; the one memoized implementation guards its cache with a
-lock and only ever appends finished values.
+queries are safe. The one memoized implementation keeps a single memo,
+which both queries extend under a lock; a budgeted query appends only
+the runs it completed.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ class _FastMajorant(SeparabilityFunction):
     d_0 is the program's output, monotonized by prefix maxima; d_1(n)
     adds the cumulative step count of running the program on 0..n, which
     makes it strictly increasing; d(n) is the first prime past d_1(n).
-    at_least decides d(n) >= m by running the same accumulation with an
-    early abort once the partial costs alone guarantee the answer.
+    value and at_least share one memo of d_1 and run only the inputs past
+    it; at_least runs them under a budget, stops once its own steps or the
+    last d_1 guarantee the answer, and keeps only the runs it completed.
     """
 
     def __init__(self, program: Program, descriptor: str):
@@ -166,26 +168,30 @@ class _FastMajorant(SeparabilityFunction):
         self.descriptor = descriptor
         self._lock = threading.Lock()
         self._d1 = []
-        self._mono = []
-        self._steps = []          # cumulative interpreter steps
+        self._mono = 0            # running maximum of the outputs
+        self._steps = 0           # cumulative interpreter steps
         self._primes = {}
 
     def program_output(self, n: int) -> int:
         """Raw d_0(n), unmetered; exposed for inspection and tests."""
         return self.program.run(n)
 
-    def _extend(self, n: int, counter: StepCounter) -> int:
+    def _extend(self, n: int, counter: StepCounter,
+                budget: Optional[int] = None) -> Optional[int]:
+        """d_1(n), running only the inputs past the memo. With a budget,
+        None once counter or the last d_1 reaches it: d_1(n) >= budget."""
         with self._lock:
             while len(self._d1) <= n:
-                k = len(self._d1)
-                local = StepCounter()
-                out = self.program.run(k, local)
-                counter.count += local.count
-                total = (self._steps[-1] if self._steps else 0) + local.count
-                mono = max(self._mono[-1] if self._mono else 0, out)
-                self._steps.append(total)
-                self._mono.append(mono)
-                self._d1.append(mono + total)
+                if budget is not None and self._mono + self._steps >= budget:
+                    return None
+                before = counter.count
+                try:
+                    out = self.program.run(len(self._d1), counter, budget)
+                except StepLimitExceeded:
+                    return None
+                self._steps += counter.count - before
+                self._mono = max(self._mono, out)
+                self._d1.append(self._mono + self._steps)
             return self._d1[n]
 
     def value_with_steps(self, n):
@@ -205,29 +211,11 @@ class _FastMajorant(SeparabilityFunction):
         if m <= 2:
             return True, 0
         counter = StepCounter()
-        with self._lock:
-            have = len(self._d1) > n
-        if have:
-            counter.count += 1
-            d1 = self._d1[n]
-            if d1 >= m - 1:
-                return True, counter.count
-        else:
-            # Fresh accumulation, aborted as soon as the partial cost
-            # or the running maximum already forces d(n) > d_1(n) >= m-1.
-            threshold = m - 1
-            mono = 0
-            try:
-                for k in range(n + 1):
-                    out = self.program.run(k, counter, step_budget=threshold)
-                    mono = max(mono, out)
-                    if mono + counter.count >= threshold:
-                        return True, counter.count
-            except StepLimitExceeded:
-                return True, counter.count
-            d1 = mono + counter.count
-            if d1 >= threshold:
-                return True, counter.count
+        counter.count = int(len(self._d1) > n)   # a memo hit costs one step
+        d1 = self._extend(n, counter, budget=m - 1)
+        # d(n) > d_1(n), so d_1(n) >= m - 1 already forces d(n) >= m
+        if d1 is None or d1 >= m - 1:
+            return True, counter.count
         p = _probe_next_prime_after(d1, counter)
         return p >= m, counter.count
 

@@ -69,6 +69,25 @@ def test_conj_respects_d(capsys):
     assert code == 1
 
 
+# a program d: under scripts/programs/power2.rm, d = 5, 19, 53, ...
+POWER2_D = f"program:{REPO / 'scripts' / 'programs' / 'power2.rm'}"
+
+
+def test_conj_program_d(capsys):
+    # c[2] = c_{2^1} dies at the power d(1) = 19 and survives below it
+    code, out, _ = run(capsys, "conj", "a[0]", "a[0] c[2]^19",
+                       "--d", POWER2_D, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["witness_word"]) == ("conjugate", "")
+    code, out, _ = run(capsys, "conj", "a[0]", "a[0] c[2]^18",
+                       "--d", POWER2_D, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "non-conjugate"
+    assert payload["reason"] == "central-obstruction(2, -18)"
+
+
 def test_conj_readme_input_example(capsys):
     # README "Input formats" writes an inverse as B[-1]
     word = "t a[1]^2 B[-1] c[2]"
@@ -260,6 +279,13 @@ def test_growth_log2_column(capsys):
         sys.set_int_max_str_digits(limit)
     assert [r[4] for r in rows] == GROWTH_LOG2
     assert [f"{r['log2_witness_order']:.1f}" for r in jrows] == GROWTH_LOG2
+
+
+def test_growth_program_d(capsys):
+    code, out, _ = run(capsys, "growth", "3", "--d", POWER2_D)
+    assert code == 0
+    assert [r[4] for r in parse_growth_csv(out)] == \
+        ["74.0", "470.3", "2369.6", "11158.9"]
 
 
 def test_growth_log2_empty_without_witness(capsys):

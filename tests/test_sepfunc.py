@@ -1,6 +1,8 @@
 """Separability functions: values, budgeted queries, metadata, and the
 step-count contracts (at_least within C*m^2, value within C*d(n)^2)."""
 
+import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -175,10 +177,57 @@ def test_fast_majorant_memoizes():
 
 
 def test_fast_majorant_concurrent_queries():
-    d = fast_majorant(parse_program(LINEAR))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(d.value, [7 - i for i in range(8)] * 4))
-    assert results == [d.value(7 - i) for i in range(8)] * 4
+    # value and at_least extend one memo under one lock; mixed from 8
+    # threads, with thresholds below, at and above d(n), each answer must
+    # match the sequential reference
+    for text in (LINEAR, POWER2):
+        ref = reference_majorant(text)
+        want = {n: ref(n) for n in range(8)}
+        queries = []
+        for n in range(7, -1, -1):
+            p = want[n]
+            queries += [(n, 3), (n, p - 1), (n, p), (n, p + 1), (n, None)]
+        d = fast_majorant(parse_program(text))
+
+        def ask(query):
+            n, m = query
+            return d.value(n) if m is None else d.at_least(n, m)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(ask, queries * 4))
+        assert results == [want[n] if m is None else want[n] >= m
+                           for n, m in queries] * 4
+
+
+def test_fast_majorant_runs_each_input_once():
+    # value and at_least accumulate into one memo: no input is run to
+    # completion twice, and a run the budget cuts short is not kept
+    ref = reference_majorant(POWER2)
+    want = {n: ref(n) for n in range(9)}
+    d = fast_majorant(parse_program(POWER2))
+    runs = Counter()
+    run = d.program.run
+
+    def counted(k, *args, **kwargs):
+        out = run(k, *args, **kwargs)
+        runs[k] += 1
+        return out
+
+    d.program.run = counted
+    ok, steps = d.at_least_with_steps(6, 60)
+    assert ok and steps == 59          # the budget ran out mid-run
+    assert 6 not in runs
+    assert d.value(6) == want[6]
+    rng = random.Random(20231)
+    for _ in range(300):
+        n = rng.randrange(9)
+        if rng.random() < 0.3:
+            assert d.value(n) == want[n]
+        else:
+            m = rng.randrange(2, 2 * want[n] + 3)
+            assert d.at_least(n, m) == (want[n] >= m)
+    assert set(runs) == set(range(9))
+    assert max(runs.values()) == 1
 
 
 # ------------------------------------------------------------------- parsing
