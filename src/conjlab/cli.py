@@ -28,8 +28,9 @@ import sys
 import time
 from dataclasses import asdict
 
-from .conjugacy import conjugacy_decide, solve_commutator_equation, \
-    solve_congruences, solve_twisted_abelian, solve_twisted_derived
+from .conjugacy import REASON_TWISTED, conj_mod_C, conjugacy_decide, \
+    solve_commutator_equation, solve_congruences, solve_twisted_abelian, \
+    solve_twisted_derived
 from .extension import (
     GElement,
     WordParseError,
@@ -205,6 +206,16 @@ def _selftest_checks(rng: random.Random):
             generator_a(0), d_element(derived={("AB", 0, 0): -1}))
         return got == generator_b(0)
 
+    def mod_centre_example():
+        # derived-only elements align on their least non-central index,
+        # 2 here, below which the central key c_1 lies
+        x = GElement(d_element(derived={("AA", 2, 3): 2, ("AB", 3, 5): -1,
+                                        ("C", 1): 5}))
+        y = GElement(phi_shift(x.d_part, 3))
+        z = GElement(d_element(derived={("AA", 2, 3): 2, ("AB", 3, 6): -1}))
+        return conj_mod_C(x, y) == (g_t(-3), None) and \
+            conj_mod_C(x, z) == (None, REASON_TWISTED)
+
     def congruence_examples():
         # mod 9 the pivot 3 is a zero divisor: 3x + 6y = 3 is solvable and
         # 3x + 6y = 4 is not; mod 10, of two primes, 6x = 4 is solvable
@@ -267,6 +278,7 @@ def _selftest_checks(rng: random.Random):
         ("twisted abelian solver", twisted_abelian_example),
         ("twisted derived solver", twisted_derived_example),
         ("commutator equation", commutator_example),
+        ("mod-centre stage", mod_centre_example),
         ("congruence solver", congruence_examples),
         ("relator witness words", witness_word_parses),
         ("spell and reparse", spell_roundtrip),

@@ -1,16 +1,19 @@
 """Conjugacy decision with certificates.
 
 The decision runs in two layers. First a conjugator is sought modulo the
-centre C: the t-exponent must match outright, the abelianization must
-match up to an index shift, and what remains is a twisted equation over
-the derived coordinates (or a plain commutator equation when the
-t-exponent is zero). Failure at this layer is final and the certificate
-carries the reason. Success leaves the pair's central defect delta
-(central_defect), which is always a commutator; conjugacy then holds
-exactly when delta is trivial under the central exponents d, and the
-first surviving coordinate is a central obstruction naming a finite
-quotient that separates the pair. The McKinsey search reads the same
-delta: no quotient where it dies separates the pair.
+centre C: the t-exponent must match outright and picks one of two
+routes (conj_mod_C). The twisted route solves shift equations over the
+abelianization, then over the derived coordinates. At t-exponent zero
+the untwisted route aligns the pair on an anchor index (the least a/b
+index, else the least non-central derived index, else 0), where the
+abelianizations must agree and one commutator equation is left. Failure
+at this layer is final and the certificate carries the reason. Success
+leaves the pair's central defect delta (central_defect), which is always
+a commutator; conjugacy then holds exactly when delta is trivial under
+the central exponents d, and the first surviving coordinate is a central
+obstruction naming a finite quotient that separates the pair. The
+McKinsey search reads the same delta: no quotient where it dies
+separates the pair.
 
 Integer linear algebra is exact throughout. solve_congruences, the one
 modular solver, eliminates over Z/m by extended gcds without factoring
@@ -27,17 +30,16 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .extension import GElement, g_conj, g_identity, g_mul, g_t
+from .extension import GElement, g_conj, g_mul, g_t
 from .nilpotent import (
     DElement,
-    _acc,
     _clean,
+    _collect,
     _derived_diff,
-    _mul_correction,
+    _neg_vec,
     _surviving_c,
     d_identity,
     d_twisted_conj,
-    is_in_derived,
     phi_shift,
 )
 
@@ -275,10 +277,12 @@ def commutator_bilinear(eta_a: dict, eta_b: dict, xi_a: dict, xi_b: dict) -> dic
     abelianizations, exact including central terms.
 
     [x, y] = (xy)(yx)^{-1}, and xy, yx share their abelianization, so the
-    commutator is the difference of the two collection corrections."""
-    out = _mul_correction(eta_a, eta_b, xi_a, xi_b)
-    return _acc(out, ((key, -v) for key, v in
-                      _mul_correction(xi_a, xi_b, eta_a, eta_b).items()))
+    commutator is corr(x, y) - corr(y, x); the correction is bilinear, so
+    that is corr(x, y) + corr(-y, x), two kernel passes into one dict."""
+    der: dict = {}
+    _collect(der, eta_a, eta_b, xi_a, xi_b)
+    _collect(der, _neg_vec(xi_a), _neg_vec(xi_b), eta_a, eta_b)
+    return _clean(der)
 
 
 def _lam_step(pairs, p2):
@@ -408,26 +412,16 @@ REASON_TWISTED = "twisted-unsolvable"
 REASON_CENTRAL = "central-obstruction"
 
 
-def _nonc(x: DElement) -> dict:
-    return {k: v for k, v in x.derived.items() if k[0] != "C"}
-
-
-def _conj_central_layer(h1: DElement, h2: DElement):
-    nc1, nc2 = _nonc(h1), _nonc(h2)
-    if not nc1 and not nc2:
-        return g_identity(), None
-    if not nc1 or not nc2:
-        return None, REASON_TWISTED
-    m = min(k[1] for k in nc2) - min(k[1] for k in nc1)
-    shifted = {(kind, i + m, j + m): v for (kind, i, j), v in nc1.items()}
-    if shifted == nc2:
-        return g_t(-m), None
-    return None, REASON_TWISTED
+def _anchor(h: DElement) -> int:
+    """The index the untwisted route aligns h on (conj_mod_C)."""
+    ab = h.a_part.keys() | h.b_part.keys()
+    if ab:
+        return min(ab)
+    return min((k[1] for k in h.derived if k[0] != "C"), default=0)
 
 
 def _conj_untwisted(h1: DElement, h2: DElement):
-    i1 = min(set(h1.a_part) | set(h1.b_part))
-    i2 = min(set(h2.a_part) | set(h2.b_part))
+    i1, i2 = _anchor(h1), _anchor(h2)
     x = phi_shift(h1, i2 - i1)
     rem = _derived_diff(x, h2)
     if rem is None:
@@ -466,6 +460,14 @@ def _conj_twisted(h1: DElement, h2: DElement, n_t: int):
 def conj_mod_C(g1: GElement, g2: GElement):
     """A conjugator modulo the centre, or (None, reason).
 
+    The t-exponent n alone picks the route: _conj_twisted for n != 0,
+    _conj_untwisted for n = 0. The latter shifts g1's D-part onto the
+    anchor of g2's (_anchor: the least a/b index, else the least first
+    index of the non-central derived keys, else 0) and solves one
+    commutator equation for the rest; inside the derived subgroup that
+    equation holds, by the identity, exactly when the aligned non-central
+    parts agree.
+
     Any such conjugator serves for the final central comparison: two
     mod-centre conjugators differ by a centralizer element mod C, and
     re-conjugating shifts the central defect by a commutator with a
@@ -477,11 +479,6 @@ def conj_mod_C(g1: GElement, g2: GElement):
     h1, h2 = g1.d_part, g2.d_part
     if n_t != 0:
         return _conj_twisted(h1, h2, n_t)
-    d1, d2 = is_in_derived(h1), is_in_derived(h2)
-    if d1 and d2:
-        return _conj_central_layer(h1, h2)
-    if d1 != d2:
-        return None, REASON_AB
     return _conj_untwisted(h1, h2)
 
 

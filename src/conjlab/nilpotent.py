@@ -25,8 +25,8 @@ product's own derived dict, extension.parse_word the dict it builds a
 word into, one letter at a time, d_letter_conj (conjugation by one
 generator letter, for the word walk of the search module) a copy of its
 argument's, and d_twisted_conj (h^-1 x shift^n(h), for extension.g_conj
-and the twisted stage of the conjugacy decision) a copy of x's;
-_mul_correction wraps it for commutator_bilinear.
+and the twisted stage of the conjugacy decision) a copy of x's, and
+conjugacy.commutator_bilinear a fresh dict it fills in two passes.
 
 All coordinates are arbitrary-precision integers. Elements are never mutated
 after construction: every operation returns a fresh element, or an operand
@@ -197,14 +197,6 @@ def _collect(der: dict, xa: dict, xb: dict, ya: dict, yb: dict) -> None:
                 if i > j:
                     key = ("BB", j, i)
                     der[key] = get(key, 0) - e * f
-
-
-def _mul_correction(xa: dict, xb: dict, ya: dict, yb: dict) -> dict:
-    """The kernel's correction for (A(xa) B(xb)) * (A(ya) B(yb)) as a
-    fresh dict without zeros."""
-    corr: dict = {}
-    _collect(corr, xa, xb, ya, yb)
-    return _clean(corr) if 0 in corr.values() else corr
 
 
 def d_mul(x: DElement, y: DElement) -> DElement:

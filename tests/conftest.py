@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from conjlab.conjugacy import REASON_CENTRAL, ConjugacyCertificate, \
     IntegerLinearSystem, _ext_gcd, commutator_bilinear, conj_mod_C, hnf_solve
 from conjlab.extension import GElement, g_conj, g_inv, g_mul, parse_word
-from conjlab.nilpotent import DElement, _mul_correction, _surviving_c, \
+from conjlab.nilpotent import DElement, _collect, _surviving_c, \
     d_element, d_equal, d_inv, d_letter_conj, d_mul, is_in_C, phi_shift
 from conjlab.quotients import FoldedQuotient, _exact_route, _key_cycle, \
     _minus, _orbit_chain_solve, c_bounds, c_fold, c_moduli_from_bounds, \
@@ -570,8 +570,10 @@ def folded_power(fq, x, n):
     pairs of factors adds the collection correction corr(x, x)."""
     a, b, der, _ = x
     pairs = n * (n - 1) // 2
+    corr = {}
+    _collect(corr, a, b, a, b)
     raw = {key: n * v for key, v in der.items()}
-    for key, v in _mul_correction(a, b, a, b).items():
+    for key, v in corr.items():
         raw[key] = raw.get(key, 0) + pairs * v
     return fq._fold({i: n * v for i, v in a.items()},
                     {i: n * v for i, v in b.items()}, raw, 0)

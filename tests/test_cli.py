@@ -88,6 +88,26 @@ def test_conj_program_d(capsys):
     assert payload["reason"] == "central-obstruction(2, -18)"
 
 
+# commutator words lie in the derived subgroup; the untwisted route
+# aligns each pair on its least non-central index
+DERIVED_CONJ = [
+    ("a b A B", "a[2] b[2] A[2] B[2]", 0, "witness: 't^-2'"),
+    ("a b A B", "a[2] b[3] A[2] B[3]", 1, "reason: twisted-unsolvable"),
+    ("c[1]", "a b A B", 1, "reason: twisted-unsolvable"),
+    ("a b A B c[3]", "a[-1] b[-1] A[-1] B[-1]", 1,
+     "reason: central-obstruction(3, 1)"),
+    ("a b A B c[2]^31", "a[1] b[1] A[1] B[1]", 0, "witness: 't^-1'"),
+]
+
+
+@pytest.mark.parametrize("x, y, want_code, last", DERIVED_CONJ)
+def test_conj_derived_pairs(capsys, x, y, want_code, last):
+    code, out, err = run(capsys, "conj", x, y)
+    verdict = "non-conjugate" if want_code else "conjugate"
+    assert (code, err) == (want_code, "")
+    assert out.splitlines()[1:] == [f"verdict: {verdict}", last]
+
+
 def test_conj_readme_input_example(capsys):
     # README "Input formats" writes an inverse as B[-1]
     word = "t a[1]^2 B[-1] c[2]"
@@ -173,6 +193,17 @@ def test_mckinsey_conjugate_at_length_3(capsys):
     assert code == 0
     assert json.loads(out) == mckinsey_payload(
         "conjugate", "b T a", None, None, 48, 135)
+
+
+def test_mckinsey_derived_pair(capsys):
+    # a commutator against its shift by 2: the word walk finds T T
+    code, out, _ = run(capsys, "mckinsey", "a b A B", "a[2] b[2] A[2] B[2]")
+    assert code == 0
+    assert out == (f"config: {MCKINSEY_CONFIG.format('text')}\n"
+                   "verdict: conjugate\n"
+                   "conjugator: 'T T'\n"
+                   "quotients tested: 32\n"
+                   "conjugators tested: 29\n")
 
 
 def test_mckinsey_budget_exhausted(capsys):

@@ -395,6 +395,19 @@ def test_conj_mod_c_t_mismatch():
     assert conj_mod_C(g_t(1), g_t(2)) == (None, REASON_T)
 
 
+def shift_reference(g1: GElement, g2: GElement):
+    """conj_mod_C's reason for a pair of t-exponent 0 with one element in
+    the derived subgroup, by brute force: the other must lie in it too,
+    and some t^k, k in -8..8, must move g1's non-central part onto g2's
+    (conjugation by D fixes the derived subgroup, which is central in D)."""
+    if any(g.d_part.a_part or g.d_part.b_part for g in (g1, g2)):
+        return REASON_AB
+    target = nonc(g2.d_part)
+    if any(nonc(phi_shift(g1.d_part, k)) == target for k in range(-8, 9)):
+        return None
+    return REASON_TWISTED
+
+
 def test_conj_mod_c_central_layer():
     x = GElement(d_element(derived={("AA", 0, 1): 2, ("C", 1): 5}))
     y = GElement(phi_shift(x.d_part, 3))
@@ -405,6 +418,50 @@ def test_conj_mod_c_central_layer():
     w, reason = conj_mod_C(GElement(central_c(1)),
                            GElement(d_element(derived={("AA", 0, 1): 1})))
     assert w is None and reason == REASON_TWISTED
+
+    rng = random.Random(32)
+
+    def letters(families, idx_range=(0, 4)):
+        return letters_to_g(random_letters(rng, max_len=3, idx_range=idx_range,
+                                           families=families))
+
+    # non-central indices 0..4 and central ones 1..6 overlap, so the
+    # anchor must skip central keys; shifts stay inside the reference's
+    # -8..8
+    def derived():
+        return GElement(d_comm(letters("ab").d_part, letters("ab").d_part))
+
+    def central():
+        return letters("c", (1, 6))
+
+    seen = set()
+    for case in range(400):
+        g1 = g_mul(derived(), central())
+        kind = case % 4
+        if kind == 0:  # a t-shifted copy carrying central parts
+            g2 = g_mul(GElement(phi_shift(g1.d_part, rng.randint(-4, 4))),
+                       central())
+        elif kind == 1:  # non-central parts that need not be shifts
+            g2 = g_mul(derived(), central())
+        elif kind == 2:  # central-only against non-central
+            g2, g1 = g1, central()
+        else:  # derived-only against an element with an a/b part
+            g2 = letters("abc")
+            while not (g2.d_part.a_part or g2.d_part.b_part):
+                g2 = letters("abc")
+        for x, y in ((g1, g2), (g2, g1)):
+            w, reason = conj_mod_C(x, y)
+            want = shift_reference(x, y)
+            assert reason == want, (case, x, y)
+            seen.add((kind, want))
+            if want is None:
+                delta = g_mul(g_conj(x, w), g_inv(y))
+                assert delta.t_exp == 0, (case, x, y)
+                assert not delta.d_part.a_part and not delta.d_part.b_part
+                assert not nonc(delta.d_part), (case, x, y)
+    # every kind of pair reaches the outcomes it can have
+    assert seen >= {(0, None), (1, None), (1, REASON_TWISTED), (2, None),
+                    (2, REASON_TWISTED), (3, REASON_AB)}
 
 
 def test_conj_mod_c_untwisted_ab_mismatch():

@@ -11,8 +11,8 @@ from conjlab.conjugacy import commutator_bilinear
 from conjlab.extension import GElement, g_equal, g_mul, parse_word
 from conjlab.nilpotent import (
     DElement,
+    _collect,
     _derived_diff,
-    _mul_correction,
     _surviving_c,
     aa_terms,
     ab_terms,
@@ -82,8 +82,9 @@ def test_term_canonicalization():
     assert ab_terms(5, 2) == ((("AB", 2, 5), 1), (("C", 3), -1))
     # [b_2, a_5] = [a_5, b_2]^-1, collected from b_2 a_5, rewrites
     # through c_3
-    assert _mul_correction({}, {2: 1}, {5: 1}, {}) == {("AB", 2, 5): -1,
-                                                       ("C", 3): 1}
+    der = {}
+    _collect(der, {}, {2: 1}, {5: 1}, {})
+    assert der == {("AB", 2, 5): -1, ("C", 3): 1}
     assert c_terms(0) == ()
     assert c_terms(4) == ((("C", 4), 1),)
     assert c_terms(-4) == ((("C", 4), -1),)

@@ -43,3 +43,24 @@ def test_exports_are_exactly_the_list():
     for name in EXPORTS:
         assert not isinstance(getattr(conjlab, name), types.ModuleType), name
     assert conjlab.__version__
+
+
+def test_every_import_is_used():
+    # each name a library module imports must be read in that module;
+    # __init__.py imports to re-export, and __future__ imports are flags
+    for path in sorted((REPO / "src" / "conjlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -793,3 +793,49 @@ def test_shift_window_edge_cases():
     window = search._shift_window(pair, parse_word("a[1] a[5]").d_part, -3, 4)
     assert [f for f, dist in window.items() if dist == 0] == [-2, 1, 4]
     assert window[0] == window[2] == 1
+
+
+def history_pool(rng):
+    """12 pairs per entry of D_SPECS: conjugates, central translates of
+    conjugates and a/b perturbations of conjugates of short words."""
+    pool = []
+    for d_spec in D_SPECS:
+        for i in range(12):
+            x = letters_to_g(random_letters(rng, max_len=4, idx_range=(-2, 2),
+                                            exp_range=(-2, 2)))
+            w = letters_to_g(random_letters(rng, max_len=2, idx_range=(-1, 1),
+                                            exp_range=(-1, 1)))
+            y = g_conj(x, w)
+            if i % 3 == 1:
+                y = g_mul(y, GElement(central_c(rng.choice((1, 2, 3, 4)))))
+            elif i % 3 == 2:
+                y = g_mul(y, GElement(generator_a(rng.randint(-2, 2))))
+            pool.append((d_spec, x, y))
+    return pool
+
+
+def test_verdicts_do_not_depend_on_what_ran_before():
+    # a verdict must never depend on what ran earlier in the process: two
+    # shuffled orders, each with one d shared by the pool and with a
+    # fresh d per pair, give the same certificates and search outcomes
+    pool = history_pool(random.Random(4))
+    budget = SearchBudget(max_conj_len=2, max_specs=64)
+    runs = []
+    for order_seed in (1, 2):
+        order = list(range(len(pool)))
+        random.Random(order_seed).shuffle(order)
+        for shared in (True, False):
+            ds = {d_spec: load_d(d_spec) for d_spec in D_SPECS}
+            got = {}
+            for i in order:
+                d_spec, x, y = pool[i]
+                d = ds[d_spec] if shared else load_d(d_spec)
+                got[i] = (conjugacy_decide(x, y, d),
+                          mckinsey_search(x, y, d, budget))
+            runs.append(got)
+    for run in runs[1:]:
+        assert run == runs[0]
+    verdicts = {(cert.verdict, outcome.verdict)
+                for cert, outcome in runs[0].values()}
+    assert {("conjugate", "conjugate"),
+            ("non-conjugate", "non-conjugate")} <= verdicts
